@@ -13,7 +13,7 @@ design points:
   planner that shrinks default tiles to fit the double-buffered halves;
 * :mod:`simulator` — the double-buffered load-compute-drain pipeline over
   the planned tiles, accounting every cycle as compute, load-stall or
-  drain-stall (:func:`simulate_tiled_gemm`);
+  drain-stall in closed form over the pass shapes (:func:`simulate_tiled_gemm`);
 * :mod:`roofline` — :class:`RooflineRecord`, the per-layer classification
   (compute-bound vs memory-bound, arithmetic intensity, attained vs peak
   GB/s) surfaced in :class:`~repro.engine.results.RunResult`;

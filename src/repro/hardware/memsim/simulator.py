@@ -22,6 +22,24 @@ own:
 * ``drain_stall``  — the last pass's full drain plus every earlier drain's
   cycles in excess of the next pass's compute cycles.
 
+The stall sums are counted in closed form rather than by walking the
+passes.  Every dimension splits into at most two *shape classes* — full
+tiles and one edge tile — each with a count, so a GEMM has at most
+``2 x 2 x 2`` distinct pass shapes.  A pass computes for ``ceil(chunk_m /
+utilization)`` cycles, which depends only on its m-chunk, so inside a chunk
+every pass but the first loads against its own chunk's compute, and every
+last-k pass but the chunk's last drains against it: one term per
+``(n-tile, k-tile)`` shape, weighted by its count.  The remaining passes sit
+at *chunk boundaries*: a chunk's first load and its predecessor's final
+drain overlap the neighbouring chunk's compute.  Consecutive chunks form
+boundary pairs — full→full, full→edge within a batch and last→first across
+batches — which are likewise counted by multiplicity, never walked.  The
+cost of one call is therefore independent of the number of tile passes.
+
+The per-pass walk is kept as the reference oracle in
+``tests/test_memsim.py``; property tests hold the closed form equal to it on
+random shapes, tilings, utilizations, bandwidths and operand residencies.
+
 Stalled cycles are idle (clock-gated): the energy model charges the array
 for compute cycles only, and the memory-access energies stay with the
 accelerator's existing traffic accounting.
@@ -69,9 +87,27 @@ def _transfer_cycles(words: int, words_per_cycle: float) -> int:
     return math.ceil(words / words_per_cycle)
 
 
-def _chunks(total: int, size: int) -> list[int]:
+def _shapes(total: int, size: int) -> list[tuple[int, int]]:
+    """``(tile size, count)`` classes: the full tiles, then the edge tile."""
+
     full, rest = divmod(total, size)
-    return [size] * full + ([rest] if rest else [])
+    shapes = [(size, full)] if full else []
+    if rest:
+        shapes.append((rest, 1))
+    return shapes
+
+
+def _boundary_pairs(m_shapes: list[tuple[int, int]],
+                    batch: int) -> list[tuple[int, int, int]]:
+    """``(previous chunk, next chunk, count)`` for every chunk-to-chunk step."""
+
+    pairs = [(size, size, count - 1) for size, count in m_shapes if count > 1]
+    pairs += [(before, after, 1)
+              for (before, _), (after, _) in zip(m_shapes, m_shapes[1:])]
+    pairs = [(before, after, count * batch) for before, after, count in pairs]
+    if batch > 1:
+        pairs.append((m_shapes[-1][0], m_shapes[0][0], batch - 1))
+    return pairs
 
 
 def simulate_tiled_gemm(m: int, k: int, n: int, *,
@@ -92,46 +128,68 @@ def simulate_tiled_gemm(m: int, k: int, n: int, *,
     stationary_rate = dram_words_per_cycle if stationary_dram else sram_words_per_cycle
     streamed_rate = dram_words_per_cycle if streamed_dram else sram_words_per_cycle
 
-    computes: list[int] = []
-    loads: list[int] = []
-    drains: list[int] = []
-    dram_words = 0
-    sram_words = 0
+    m_shapes = _shapes(m, plan.tile_m)
+    k_shapes = _shapes(k, plan.tile_k)
+    n_shapes = _shapes(n, plan.tile_n)
+    m_chunks = -(-m // plan.tile_m)
+    k_tiles = -(-k // plan.tile_k)
+    n_tiles = -(-n // plan.tile_n)
+    first_k, last_n = k_shapes[0][0], n_shapes[-1][0]
+    # Stationary-tile load cycles per (k-tile, n-tile) shape, in pass order:
+    # the first entry is the shape every chunk starts with.
+    stationary = [(tile_k, k_count * n_count,
+                   _transfer_cycles(tile_k * tile_n, stationary_rate))
+                  for tile_k, k_count in k_shapes for tile_n, n_count in n_shapes]
 
-    k_tiles = _chunks(k, plan.tile_k)
-    n_tiles = _chunks(n, plan.tile_n)
-    m_chunks = _chunks(m, plan.tile_m)
-    for _ in range(batch):
-        for chunk_m in m_chunks:
-            for tile_n in n_tiles:
-                for index_k, tile_k in enumerate(k_tiles):
-                    stationary_words = tile_k * tile_n
-                    streamed_words = chunk_m * tile_k
-                    computes.append(math.ceil(chunk_m / utilization))
-                    loads.append(_transfer_cycles(stationary_words, stationary_rate)
-                                 + _transfer_cycles(streamed_words, streamed_rate))
-                    output_words = (chunk_m * tile_n
-                                    if index_k == len(k_tiles) - 1 else 0)
-                    drains.append(_transfer_cycles(output_words, drain_words_per_cycle))
-                    if stationary_dram:
-                        dram_words += stationary_words
-                    else:
-                        sram_words += stationary_words
-                    if streamed_dram:
-                        dram_words += streamed_words
-                    else:
-                        sram_words += streamed_words
-                    sram_words += output_words
+    # Per chunk size: its compute window, its first pass's load and its
+    # last pass's drain — the three figures a chunk boundary compares.
+    computes: dict[int, int] = {}
+    first_loads: dict[int, int] = {}
+    last_drains: dict[int, int] = {}
+    compute_sum = load_stall = drain_stall = 0
+    for chunk_m, chunks in m_shapes:
+        window = math.ceil(chunk_m / utilization)
+        streamed = {tile_k: _transfer_cycles(chunk_m * tile_k, streamed_rate)
+                    for tile_k, _ in k_shapes}
+        first_load = stationary[0][2] + streamed[first_k]
+        last_drain = _transfer_cycles(chunk_m * last_n, drain_words_per_cycle)
+        computes[chunk_m] = window
+        first_loads[chunk_m] = first_load
+        last_drains[chunk_m] = last_drain
+        compute_sum += chunks * window
+        # Inside a chunk every pass but the first loads under the previous
+        # pass's compute, and every last-k drain but the chunk's last drains
+        # under the next pass's compute — both windows of this chunk's size.
+        inside_load = sum(count * max(0, load + streamed[tile_k] - window)
+                          for tile_k, count, load in stationary)
+        inside_load -= max(0, first_load - window)
+        inside_drain = sum(
+            n_count * max(0, _transfer_cycles(chunk_m * tile_n,
+                                              drain_words_per_cycle) - window)
+            for tile_n, n_count in n_shapes)
+        inside_drain -= max(0, last_drain - window)
+        load_stall += batch * chunks * inside_load
+        drain_stall += batch * chunks * inside_drain
+    # At a boundary the next chunk's first load hides under the previous
+    # chunk's last compute, and the previous chunk's last drain under the
+    # next chunk's first compute.
+    for before, after, count in _boundary_pairs(m_shapes, batch):
+        load_stall += count * max(0, first_loads[after] - computes[before])
+        drain_stall += count * max(0, last_drains[before] - computes[after])
+    # Nothing overlaps the very first load or the very last drain.
+    load_stall += first_loads[m_shapes[0][0]]
+    drain_stall += last_drains[m_shapes[-1][0]]
 
-    # Array fill once per batched GEMM, as in the analytic model.
-    compute_cycles = rows + columns + sum(computes)
-    load_stall = loads[0] + sum(
-        max(0, loads[i] - computes[i - 1]) for i in range(1, len(loads)))
-    drain_stall = drains[-1] + sum(
-        max(0, drains[i] - computes[i + 1]) for i in range(len(drains) - 1))
+    stationary_words = batch * m_chunks * k * n
+    streamed_words = batch * m * k * n_tiles
+    output_words = batch * m * n
+    dram_words = ((stationary_words if stationary_dram else 0)
+                  + (streamed_words if streamed_dram else 0))
+    sram_words = stationary_words + streamed_words + output_words - dram_words
     return GemmMemTrace(
-        tiles=len(computes),
-        compute_cycles=compute_cycles,
+        tiles=batch * m_chunks * n_tiles * k_tiles,
+        # Array fill once per batched GEMM, as in the analytic model.
+        compute_cycles=rows + columns + batch * n_tiles * k_tiles * compute_sum,
         load_stall_cycles=load_stall,
         drain_stall_cycles=drain_stall,
         dram_words=dram_words,

@@ -1,6 +1,8 @@
 """Tests for the tile-level memory-hierarchy simulator (``repro.hardware.memsim``):
 knob-grammar edge cases, activation gating and cache identity, stall/roofline
-physics, golden pinning, JSON shapes and the bandwidth-aware DSE axis."""
+physics, golden pinning, JSON shapes and the bandwidth-aware DSE axis.  The
+per-pass walk of the tile pipeline lives here as the oracle the closed-form
+simulator is property-tested against."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import ResultCache, RunSpec, get_target, simulate
 from repro.engine.results import RunResult
@@ -16,6 +19,7 @@ from repro.experiments import run_experiment
 from repro.experiments.dse_exps import explore_design_space, roofline_experiment
 from repro.hardware import KnobError, VITALITY_SCHEMA, matmul_cycles
 from repro.hardware.memsim import (
+    GemmMemTrace,
     MemSimConfig,
     buffer_words,
     simulate_tiled_gemm,
@@ -24,6 +28,92 @@ from repro.hardware.memsim.config import TilePlan
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "memsim_golden.json"
 SEED_GOLDEN_PATH = Path(__file__).parent / "data" / "seed_hardware_golden.json"
+
+
+def walk_tiled_gemm(m, k, n, *, rows, columns, utilization, batch, plan,
+                    dram_words_per_cycle, sram_words_per_cycle,
+                    drain_words_per_cycle, stationary_dram, streamed_dram):
+    """Reference oracle: the tile pipeline walked one pass at a time.
+
+    Same contract as :func:`simulate_tiled_gemm`, which counts the pass
+    shapes in closed form instead; the property tests hold the two equal.
+    """
+
+    def transfer(words, words_per_cycle):
+        if words <= 0 or math.isinf(words_per_cycle):
+            return 0
+        return math.ceil(words / words_per_cycle)
+
+    def chunks(total, size):
+        full, rest = divmod(total, size)
+        return [size] * full + ([rest] if rest else [])
+
+    stationary_rate = dram_words_per_cycle if stationary_dram else sram_words_per_cycle
+    streamed_rate = dram_words_per_cycle if streamed_dram else sram_words_per_cycle
+    computes, loads, drains = [], [], []
+    dram_words = sram_words = 0
+    k_tiles = chunks(k, plan.tile_k)
+    for _ in range(batch):
+        for chunk_m in chunks(m, plan.tile_m):
+            for tile_n in chunks(n, plan.tile_n):
+                for index_k, tile_k in enumerate(k_tiles):
+                    stationary_words = tile_k * tile_n
+                    streamed_words = chunk_m * tile_k
+                    output_words = (chunk_m * tile_n
+                                    if index_k == len(k_tiles) - 1 else 0)
+                    computes.append(math.ceil(chunk_m / utilization))
+                    loads.append(transfer(stationary_words, stationary_rate)
+                                 + transfer(streamed_words, streamed_rate))
+                    drains.append(transfer(output_words, drain_words_per_cycle))
+                    if stationary_dram:
+                        dram_words += stationary_words
+                    else:
+                        sram_words += stationary_words
+                    if streamed_dram:
+                        dram_words += streamed_words
+                    else:
+                        sram_words += streamed_words
+                    sram_words += output_words
+    load_stall = loads[0] + sum(
+        max(0, loads[i] - computes[i - 1]) for i in range(1, len(loads)))
+    drain_stall = drains[-1] + sum(
+        max(0, drains[i] - computes[i + 1]) for i in range(len(drains) - 1))
+    return GemmMemTrace(
+        tiles=len(computes),
+        compute_cycles=rows + columns + sum(computes),
+        load_stall_cycles=load_stall,
+        drain_stall_cycles=drain_stall,
+        dram_words=dram_words,
+        sram_words=sram_words,
+        macs=m * k * n * batch,
+    )
+
+
+DIMS = st.integers(1, 300)
+ARRAY_EDGES = st.integers(1, 128)
+BATCHES = st.integers(1, 4)
+UTILIZATIONS = st.floats(0.01, 1.0)
+FINITE_RATES = st.floats(0.05, 64.0)
+RATES = st.one_of(st.just(math.inf), FINITE_RATES)
+
+#: Tiles per dimension stay <= 8, so the oracle walks at most 2048 passes.
+MAX_TILES = 8
+
+
+@st.composite
+def gemm_cases(draw):
+    """``((m, k, n), kwargs)`` for a random tiled GEMM, residency left out."""
+
+    shape = tuple(draw(DIMS) for _ in range(3))
+    tile_m, tile_k, tile_n = (
+        draw(st.integers(math.ceil(size / MAX_TILES), size)) for size in shape)
+    return shape, dict(
+        rows=draw(ARRAY_EDGES), columns=draw(ARRAY_EDGES),
+        utilization=draw(UTILIZATIONS), batch=draw(BATCHES),
+        plan=TilePlan(tile_m=tile_m, tile_k=tile_k, tile_n=tile_n),
+        dram_words_per_cycle=draw(RATES), sram_words_per_cycle=draw(RATES),
+        drain_words_per_cycle=draw(RATES))
+
 
 #: The JSON keys every default (analytic-path) result has — and no others.
 DEFAULT_RESULT_KEYS = {
@@ -177,40 +267,71 @@ class TestTilePipeline:
         assert plan.tile_m * plan.tile_k <= max(1, config.ibuf_words // 2)
         assert plan.tile_m * plan.tile_n <= max(1, config.obuf_words // 2)
 
-    def test_infinite_bandwidth_single_chunk_matches_analytic_cycles(self):
-        trace = simulate_tiled_gemm(
-            100, 64, 64, rows=64, columns=64, utilization=0.85, batch=1,
-            plan=TilePlan(tile_m=100, tile_k=64, tile_n=64),
-            dram_words_per_cycle=math.inf, sram_words_per_cycle=128.0,
-            drain_words_per_cycle=64.0, stationary_dram=True,
-            streamed_dram=True)
-        assert trace.compute_cycles == matmul_cycles(100, 64, 64, rows=64,
-                                                     columns=64,
-                                                     utilization=0.85)
-        assert trace.load_stall_cycles == 0
+    @settings(max_examples=150, deadline=None)
+    @given(case=gemm_cases(), residency=st.tuples(st.booleans(), st.booleans()))
+    def test_closed_form_matches_per_pass_oracle(self, case, residency):
+        shape, kwargs = case
+        kwargs.update(stationary_dram=residency[0], streamed_dram=residency[1])
+        assert simulate_tiled_gemm(*shape, **kwargs) == \
+            walk_tiled_gemm(*shape, **kwargs)
 
-    def test_stall_decomposition_is_exact(self):
+    @settings(max_examples=40, deadline=None)
+    @given(m=DIMS, k=DIMS, n=DIMS, rows=ARRAY_EDGES, columns=ARRAY_EDGES,
+           utilization=UTILIZATIONS, batch=BATCHES,
+           extra_m=st.integers(0, 64))
+    def test_infinite_bandwidth_single_chunk_matches_analytic_cycles(
+            self, m, k, n, rows, columns, utilization, batch, extra_m):
         trace = simulate_tiled_gemm(
-            197, 192, 576, rows=64, columns=64, utilization=0.85, batch=1,
-            plan=TilePlan(tile_m=64, tile_k=64, tile_n=64),
-            dram_words_per_cycle=2.5, sram_words_per_cycle=128.0,
-            drain_words_per_cycle=64.0, stationary_dram=True,
+            m, k, n, rows=rows, columns=columns, utilization=utilization,
+            batch=batch,
+            plan=TilePlan(tile_m=m + extra_m, tile_k=min(k, rows),
+                          tile_n=min(n, columns)),
+            dram_words_per_cycle=math.inf, sram_words_per_cycle=math.inf,
+            drain_words_per_cycle=math.inf, stationary_dram=True,
             streamed_dram=True)
+        assert trace.cycles == matmul_cycles(m, k, n, rows=rows,
+                                             columns=columns,
+                                             utilization=utilization,
+                                             batch=batch)
+        assert trace.load_stall_cycles == 0
+        assert trace.drain_stall_cycles == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=gemm_cases(), residency=st.tuples(st.booleans(), st.booleans()))
+    def test_stall_decomposition_is_exact(self, case, residency):
+        (m, k, n), kwargs = case
+        kwargs.update(stationary_dram=residency[0], streamed_dram=residency[1])
+        trace = simulate_tiled_gemm(m, k, n, **kwargs)
+        plan, batch = kwargs["plan"], kwargs["batch"]
+        m_chunks = math.ceil(m / plan.tile_m)
+        n_tiles = math.ceil(n / plan.tile_n)
+        assert trace.tiles == batch * m_chunks * n_tiles * math.ceil(k / plan.tile_k)
+        assert trace.dram_words + trace.sram_words == batch * (
+            m_chunks * k * n + m * k * n_tiles + m * n)
         assert trace.cycles == (trace.compute_cycles
                                 + trace.load_stall_cycles
                                 + trace.drain_stall_cycles)
-        assert trace.load_stall_cycles > 0
-        assert trace.tiles > 1
+        # Nothing overlaps the first load or the last drain, so any finite
+        # port rate shows up as a stall.
+        rate = {True: kwargs["dram_words_per_cycle"],
+                False: kwargs["sram_words_per_cycle"]}
+        if not all(math.isinf(rate[from_dram]) for from_dram in residency):
+            assert trace.load_stall_cycles > 0
+        if not math.isinf(kwargs["drain_words_per_cycle"]):
+            assert trace.drain_stall_cycles > 0
 
-    def test_less_bandwidth_never_runs_faster(self):
+    @settings(max_examples=40, deadline=None)
+    @given(case=gemm_cases(), residency=st.tuples(st.booleans(), st.booleans()),
+           slow=FINITE_RATES, speedup=st.floats(1.0, 16.0))
+    def test_less_bandwidth_never_runs_faster(self, case, residency, slow,
+                                              speedup):
+        shape, kwargs = case
+        kwargs.update(stationary_dram=residency[0], streamed_dram=residency[1])
+
         def cycles(words_per_cycle):
-            return simulate_tiled_gemm(
-                197, 192, 576, rows=64, columns=64, utilization=0.85, batch=1,
-                plan=TilePlan(tile_m=64, tile_k=64, tile_n=64),
-                dram_words_per_cycle=words_per_cycle,
-                sram_words_per_cycle=128.0, drain_words_per_cycle=64.0,
-                stationary_dram=True, streamed_dram=True).cycles
-        assert cycles(2.5) >= cycles(25.0) >= cycles(math.inf)
+            kwargs["dram_words_per_cycle"] = words_per_cycle
+            return simulate_tiled_gemm(*shape, **kwargs).cycles
+        assert cycles(slow) >= cycles(slow * speedup) >= cycles(math.inf)
 
 
 class TestBandwidthAwareDSE:
