@@ -2,8 +2,9 @@
 
 Opt-in and zero-cost when off: build an :class:`Observability` carrying a
 :class:`TraceRecorder` (Chrome trace-event spans per request and replica),
-a :class:`MetricsCollector` (bounded-memory streaming series + P² latency
-sketches) and/or a :class:`Progress` indicator, and pass it as ``obs=`` to
+a :class:`MetricsCollector` (bounded-memory streaming series + latency
+log histograms, every quantile within 1 % of exact) and/or a
+:class:`Progress` indicator, and pass it as ``obs=`` to
 :func:`repro.serve.serve` / :func:`repro.serve.serve_llm`.  Export with
 :func:`write_chrome_trace` (Perfetto-loadable) or :func:`prometheus_text`;
 analyse saved traces with :func:`summarize_trace`.
@@ -22,7 +23,7 @@ from .export import (
 from .hooks import Observability
 from .log import LOG_LEVELS, configure_logging
 from .progress import Progress
-from .sketch import P2Quantile, StreamingLatency
+from .sketch import LogHistogram, StreamingLatency
 from .streaming import MetricsCollector
 from .summarize import format_summary, load_trace, summarize_trace
 from .trace import (
@@ -35,9 +36,9 @@ from .trace import (
 
 __all__ = [
     "LOG_LEVELS",
+    "LogHistogram",
     "MetricsCollector",
     "Observability",
-    "P2Quantile",
     "PHASES",
     "PID_FLEET",
     "PID_REQUESTS",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+from .sketch import ALPHA
 from .streaming import MetricsCollector
 from .trace import TraceRecorder
 
@@ -33,6 +34,10 @@ def write_chrome_trace(recorder: TraceRecorder, path) -> None:
 
 
 # --------------------------------------------------------- Prometheus text
+
+#: HELP-string note on every latency summary's quantiles.
+_ESTIMATE = f"(log-histogram estimate, within {ALPHA:.0%} of exact)"
+
 
 def _escape_label(value: str) -> str:
     return (value.replace("\\", r"\\").replace('"', r'\"')
@@ -70,10 +75,10 @@ class _Lines:
 
 def _summary_block(out: _Lines, name: str, help_text: str, latency,
                    **labels: str) -> None:
-    """One Prometheus summary (quantiles + _sum/_count) from a sketch."""
+    """One Prometheus summary (quantiles + _sum/_count) from a histogram."""
 
     out.header(name, "summary", help_text)
-    for fraction in sorted(latency._sketches):
+    for fraction in latency.fractions:
         out.sample(name, latency.quantile(fraction),
                    quantile=f"{fraction:g}", **labels)
     out.sample(f"{name}_sum", latency.total, **labels)
@@ -114,20 +119,17 @@ def prometheus_text(metrics: MetricsCollector) -> str:
         out.sample("repro_energy_joules_total", report.total_energy_joules)
 
     _summary_block(out, "repro_request_latency_seconds",
-                   "End-to-end request latency (P2 streaming estimate).",
-                   metrics.latency)
+                   f"End-to-end request latency {_ESTIMATE}.", metrics.latency)
     if metrics.queue_wait.count:
         _summary_block(out, "repro_request_queue_wait_seconds",
-                       "Time from arrival to dispatch (P2 streaming estimate).",
+                       f"Time from arrival to dispatch {_ESTIMATE}.",
                        metrics.queue_wait)
     if metrics.ttft.count:
         _summary_block(out, "repro_request_ttft_seconds",
-                       "Time to first token (P2 streaming estimate).",
-                       metrics.ttft)
+                       f"Time to first token {_ESTIMATE}.", metrics.ttft)
     if metrics.tpot.count:
         _summary_block(out, "repro_request_tpot_seconds",
-                       "Time per output token (P2 streaming estimate).",
-                       metrics.tpot)
+                       f"Time per output token {_ESTIMATE}.", metrics.tpot)
 
     window_ms = metrics.window_seconds * 1e3
 

@@ -1,15 +1,21 @@
-"""Streaming quantile estimation: the P² sketch behind ``LatencySummary``.
+"""Streaming quantile estimation: the log histogram behind ``LatencySummary``.
 
 The serving reports compute nearest-rank percentiles over the full latency
 sample — exact, but O(n) memory, which is the wall the ROADMAP's
-million-request item runs into.  :class:`P2Quantile` is Jain & Chlamtac's
-P² algorithm: one quantile tracked with five markers in O(1) memory and O(1)
-update time, exact until five observations arrive and a piecewise-parabolic
-estimate afterwards.  :class:`StreamingLatency` bundles one sketch per
-requested percentile plus exact count/mean/max and folds down to the same
-:class:`~repro.serve.metrics.LatencySummary` the batch path produces, so a
-future ``serve()`` can swap the latency lists for sketches without changing
-a single report consumer.
+million-request item runs into.  :class:`LogHistogram` is the relative-error
+log histogram of DDSketch (Masson, Rim & Lee, VLDB 2019): a value ``x``
+above :data:`MIN_VALUE` is counted in bucket ``ceil(ln x / ln γ)`` with
+``γ = (1 + α) / (1 - α)``, so bucket ``k`` covers ``(γᵏ⁻¹, γᵏ]`` and its
+representative ``2γᵏ / (γ + 1)`` is within ``α`` of every value in it.  A
+nearest-rank quantile lands in the bucket holding the exact order statistic,
+hence **|estimate − exact| ≤ α·exact** for every quantile, with
+``α = ALPHA = 1 %``.  Memory grows with the dynamic range (about 1,400
+buckets span 1 ns to 1,000 s), never with the sample count, and two
+histograms merge by adding bucket counts.
+
+:class:`StreamingLatency` is one histogram serving every requested
+percentile plus the exact running sum, and folds down to the same
+:class:`~repro.serve.metrics.LatencySummary` the batch path produces.
 """
 
 from __future__ import annotations
@@ -23,152 +29,114 @@ from repro.serve.metrics import (
     percentile_label,
 )
 
+#: Relative accuracy of every reported quantile.
+ALPHA = 0.01
+GAMMA = (1.0 + ALPHA) / (1.0 - ALPHA)
+#: Values at or below this (seconds) share the zero bucket and report as 0.
+MIN_VALUE = 1e-9
 
-class P2Quantile:
-    """One streaming quantile in O(1) memory (Jain & Chlamtac 1985).
+_INV_LOG_GAMMA = 1.0 / math.log(GAMMA)
+#: One below the smallest key a value above ``MIN_VALUE`` can get, so the
+#: zero bucket sorts first.
+_ZERO_KEY = math.ceil(math.log(MIN_VALUE) * _INV_LOG_GAMMA) - 1
 
-    Five markers track the minimum, the quantile and the points halfway to
-    each extreme; marker heights move by a piecewise-parabolic (P²) fit as
-    observations arrive.  Updates are deterministic — the same value stream
-    always yields the same estimate — which keeps traced runs bit-exact.
+
+def bucket_key(value: float) -> int:
+    """The histogram bucket ``value`` falls in (``_ZERO_KEY`` for ~0)."""
+
+    if value > MIN_VALUE:
+        return math.ceil(math.log(value) * _INV_LOG_GAMMA)
+    return _ZERO_KEY
+
+
+class LogHistogram:
+    """Relative-error quantiles in memory bounded by the dynamic range.
+
+    Holds bucket counts plus the exact count, sum, min and max.  Updates and
+    merges are integer additions, so the same stream (or the same multiset
+    of merged streams, in any order) always yields the same state.
     """
 
-    __slots__ = ("fraction", "_heights", "_positions", "_desired", "_rates")
+    __slots__ = ("counts", "count", "total", "min", "max")
 
-    def __init__(self, fraction: float):
-        if not 0.0 < fraction < 1.0:
-            raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-        self.fraction = fraction
-        self._heights: list[float] = []          # marker heights q_i
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * fraction, 1.0 + 4.0 * fraction,
-                         3.0 + 2.0 * fraction, 5.0]
-        self._rates = [0.0, fraction / 2.0, fraction,
-                       (1.0 + fraction) / 2.0, 1.0]
-
-    @property
-    def count(self) -> int:
-        return (len(self._heights) if len(self._heights) < 5
-                else int(self._positions[4]))
-
-    def add(self, value: float) -> None:
-        # Hot path: ``serve(summary="streaming")`` calls this several times
-        # per completed request, so the marker bookkeeping is unrolled (same
-        # arithmetic in the same order as the loop form — estimates stay
-        # bit-identical, only the interpreter overhead goes away).
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(value)
-            heights.sort()
-            return
-        positions = self._positions
-        if value < heights[1]:
-            if value < heights[0]:
-                heights[0] = value
-            positions[1] += 1.0
-            positions[2] += 1.0
-            positions[3] += 1.0
-            positions[4] += 1.0
-        elif value < heights[2]:
-            positions[2] += 1.0
-            positions[3] += 1.0
-            positions[4] += 1.0
-        elif value < heights[3]:
-            positions[3] += 1.0
-            positions[4] += 1.0
-        else:
-            if value >= heights[4]:
-                heights[4] = value
-            positions[4] += 1.0
-        desired = self._desired
-        rates = self._rates
-        desired[1] += rates[1]
-        desired[2] += rates[2]
-        desired[3] += rates[3]
-        desired[4] += 1.0
-        for index in (1, 2, 3):
-            position = positions[index]
-            drift = desired[index] - position
-            if (drift >= 1.0 and positions[index + 1] - position > 1.0) \
-                    or (drift <= -1.0 and positions[index - 1] - position < -1.0):
-                sign = 1.0 if drift >= 1.0 else -1.0
-                candidate = self._parabolic(index, sign)
-                if heights[index - 1] < candidate < heights[index + 1]:
-                    heights[index] = candidate
-                else:                            # parabola escaped: go linear
-                    heights[index] = self._linear(index, sign)
-                positions[index] += sign
-
-    def _parabolic(self, index: int, sign: float) -> float:
-        q, n = self._heights, self._positions
-        return q[index] + sign / (n[index + 1] - n[index - 1]) * (
-            (n[index] - n[index - 1] + sign)
-            * (q[index + 1] - q[index]) / (n[index + 1] - n[index])
-            + (n[index + 1] - n[index] - sign)
-            * (q[index] - q[index - 1]) / (n[index] - n[index - 1]))
-
-    def _linear(self, index: int, sign: float) -> float:
-        q, n = self._heights, self._positions
-        step = int(sign)
-        return q[index] + sign * (q[index + step] - q[index]) / (n[index + step] - n[index])
-
-    @property
-    def value(self) -> float:
-        """The current estimate (exact order statistic below five samples)."""
-
-        heights = self._heights
-        if not heights:
-            return 0.0
-        if len(heights) < 5:
-            # Nearest-rank on the exact sample, matching metrics.percentile.
-            rank = math.ceil(self.fraction * len(heights))
-            return heights[max(0, min(len(heights), rank) - 1)]
-        return heights[2]
-
-
-class StreamingLatency:
-    """Bounded-memory counterpart of :meth:`LatencySummary.of`.
-
-    Feeds every requested percentile's :class:`P2Quantile` plus exact
-    count/mean (Welford-free running sum is fine for latencies) and max, and
-    renders the same :class:`LatencySummary` shape the exact path produces —
-    estimates instead of order statistics, O(1) memory instead of O(n).
-    """
-
-    def __init__(self, percentiles: Sequence[float] = DEFAULT_PERCENTILES):
-        fractions = tuple(sorted(set(percentiles) | set(DEFAULT_PERCENTILES)))
-        self._sketches = {fraction: P2Quantile(fraction)
-                          for fraction in fractions}
-        # Bound methods cached once: add() runs per completed request.
-        self._adds = tuple(sketch.add for sketch in self._sketches.values())
+    def __init__(self):
+        self.counts: dict[int, int] = {}
         self.count = 0
         self.total = 0.0
-        self.max = 0.0
+        self.min = math.inf
+        self.max = -math.inf
 
     def add(self, value: float) -> None:
+        self.add_key(bucket_key(value), value)
+
+    def add_key(self, key: int, value: float) -> None:
+        """Count ``value`` whose :func:`bucket_key` the caller already has."""
+
+        counts = self.counts
+        counts[key] = counts.get(key, 0) + 1
         self.count += 1
         self.total += value
+        if value < self.min:
+            self.min = value
         if value > self.max:
             self.max = value
-        for sketch_add in self._adds:
-            sketch_add(value)
+
+    def merge(self, other: "LogHistogram") -> None:
+        """Fold ``other`` in, as if its values had been added here."""
+
+        counts = self.counts
+        for key, count in other.counts.items():
+            counts[key] = counts.get(key, 0) + count
+        self.count += other.count
+        self.total += other.total
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
 
     def quantile(self, fraction: float) -> float:
-        return self._sketches[fraction].value
+        """Nearest-rank quantile (as ``metrics.percentile``) within ``ALPHA``;
+        0 when empty."""
+
+        if not self.count:
+            return 0.0
+        rank = max(math.ceil(fraction * self.count), 1)
+        seen = 0
+        for key in sorted(self.counts):
+            seen += self.counts[key]
+            if seen >= rank:
+                break
+        if key == _ZERO_KEY:
+            return 0.0
+        estimate = 2.0 * GAMMA ** key / (GAMMA + 1.0)
+        return min(max(estimate, self.min), self.max)
+
+
+class StreamingLatency(LogHistogram):
+    """Bounded-memory counterpart of :meth:`LatencySummary.of`.
+
+    A :class:`LogHistogram` that answers every requested percentile
+    (``fractions``: the request plus the default p50/p95/p99) from its one
+    set of buckets; count, mean and max stay exact.  Renders the same :class:`LatencySummary` shape the
+    exact path produces, with quantiles within ``ALPHA`` of the exact ones.
+    """
+
+    __slots__ = ("fractions",)
+
+    def __init__(self, percentiles: Sequence[float] = DEFAULT_PERCENTILES):
+        super().__init__()
+        self.fractions = tuple(sorted(set(percentiles)
+                                      | set(DEFAULT_PERCENTILES)))
 
     def summary(self) -> LatencySummary:
         """Fold into the exact path's report type (same JSON keys)."""
 
-        extras = tuple(
-            (percentile_label(fraction), self._sketches[fraction].value)
-            for fraction in sorted(self._sketches)
-            if fraction not in DEFAULT_PERCENTILES)
+        values = {fraction: self.quantile(fraction)
+                  for fraction in self.fractions}
+        extras = tuple((percentile_label(fraction), values[fraction])
+                       for fraction in self.fractions
+                       if fraction not in DEFAULT_PERCENTILES)
         if not self.count:
             return LatencySummary(count=0, mean=0.0, p50=0.0, p95=0.0,
-                                  p99=0.0, max=0.0,
-                                  extras=tuple((label, 0.0)
-                                               for label, _ in extras))
+                                  p99=0.0, max=0.0, extras=extras)
         return LatencySummary(
-            count=self.count, mean=self.total / self.count,
-            p50=self._sketches[0.5].value, p95=self._sketches[0.95].value,
-            p99=self._sketches[0.99].value, max=self.max, extras=extras)
+            count=self.count, mean=self.total / self.count, p50=values[0.5],
+            p95=values[0.95], p99=values[0.99], max=self.max, extras=extras)

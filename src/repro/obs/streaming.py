@@ -1,7 +1,7 @@
 """Bounded-memory streaming aggregation of serving metrics.
 
 :class:`MetricsCollector` consumes the same hook stream the trace recorder
-does, but keeps only fixed-size state: P² latency sketches
+does, but keeps only fixed-size state: latency log histograms
 (:class:`~repro.obs.sketch.StreamingLatency`) plus per-replica,
 per-``window_seconds`` time series of utilization, queue depth, KV
 occupancy and batch size.  Memory is O(replicas x windows) — windows scale

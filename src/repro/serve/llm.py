@@ -341,8 +341,8 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
     ``summary`` mirrors :func:`repro.serve.serve`: ``"exact"`` (default)
     keeps per-request records and exact order statistics, bit-identical to
     historical reports; ``"streaming"`` pulls arrivals lazily and folds each
-    completion into P² accumulators, bounding memory for arbitrarily long
-    runs.  Streaming mode sizes KV capacity from the models the *traffic
+    completion into log histograms, bounding memory for arbitrarily long
+    runs with every quantile within 1 % relative of the exact one.  Streaming mode sizes KV capacity from the models the *traffic
     declares* (mix entries or trace models) rather than the models that
     happened to arrive, and checks each request's KV feasibility when it is
     generated instead of all up front — same ``ValueError``, raised at the

@@ -321,20 +321,21 @@ class ReportAccumulator:
 
     The exact path keeps one :class:`RequestRecord` per request and computes
     nearest-rank order statistics at the end; this accumulator folds each
-    completion as it happens into P² quantile sketches
+    completion as it happens into log histograms
     (:class:`repro.obs.sketch.StreamingLatency`) plus exact running
-    count/mean/max, per-model sketches and per-window counters, so memory is
-    O(replicas + models + windows + percentiles) — independent of the number
-    of requests.
+    count/mean/max, per-model histograms and per-window counters, so memory
+    is O(replicas + models + windows) times the histogram's bucket range —
+    independent of the number of requests.  A completion computes its
+    latency's bucket key once and counts it in the overall, per-model and
+    window histograms.
 
     Error bound: counts, means, maxima, throughput, SLO violation and energy
     figures stay *exact* (they are running sums); only the reported quantiles
-    (``p50``/``p95``/``p99``/extras, per-model, per-window ``p99``) become P²
-    estimates.  P² carries no worst-case guarantee, but on the smooth latency
-    distributions the simulator produces the estimates track the nearest-rank
-    statistics to within a few percent; the test suite pins a 15 % relative
-    (plus half-millisecond absolute) envelope across Poisson, bursty, diurnal
-    and LLM traffic (``tests/test_serve_scale.py``).
+    (``p50``/``p95``/``p99``/extras, per-model, per-window ``p99``) become
+    log-histogram estimates, each within ``repro.obs.sketch.ALPHA`` (1 %)
+    relative of the exact nearest-rank value — a proven bound, not an
+    empirical one (``tests/test_serve_scale.py`` asserts it across Poisson,
+    bursty, diurnal and LLM traffic).
     """
 
     def __init__(self, *, slo_seconds: float,
@@ -343,10 +344,11 @@ class ReportAccumulator:
                  track_ttft: bool = False, track_tpot: bool = False):
         # Imported lazily: the obs layer builds on serve.metrics, so the
         # module-level dependency must keep pointing obs -> serve.
-        from repro.obs.sketch import P2Quantile, StreamingLatency
+        from repro.obs.sketch import LogHistogram, StreamingLatency, bucket_key
 
         self._sketch = lambda: StreamingLatency(percentiles)
-        self._window_p2 = P2Quantile
+        self._histogram = LogHistogram
+        self._bucket_key = bucket_key
         self.slo_seconds = slo_seconds
         self.window_seconds = window_seconds
         self.latency = self._sketch()
@@ -367,7 +369,7 @@ class ReportAccumulator:
         while len(self._window_arrivals) <= bucket:
             self._window_arrivals.append(0)
             self._window_completed.append(0)
-            self._window_tails.append(self._window_p2(0.99))
+            self._window_tails.append(self._histogram())
         return bucket
 
     def observe(self, model: str, arrival: float, dispatch: float,
@@ -375,8 +377,11 @@ class ReportAccumulator:
         """Fold one completed request into every running summary."""
 
         latency = completion - arrival
-        self.latency.add(latency)
-        self.queue_wait.add(dispatch - arrival)
+        wait = dispatch - arrival
+        bucket_key = self._bucket_key
+        key = bucket_key(latency)
+        self.latency.add_key(key, latency)
+        self.queue_wait.add_key(bucket_key(wait), wait)
         if latency > self.slo_seconds:
             self.violations += 1
         if completion > self.last_completion:
@@ -384,12 +389,12 @@ class ReportAccumulator:
         by_model = self.per_model.get(model)
         if by_model is None:
             by_model = self.per_model[model] = self._sketch()
-        by_model.add(latency)
+        by_model.add_key(key, latency)
         if self.window_seconds is not None:
             self._window_arrivals[self._window(arrival)] += 1
             bucket = self._window(completion)
             self._window_completed[bucket] += 1
-            self._window_tails[bucket].add(latency)
+            self._window_tails[bucket].add_key(key, latency)
 
     def _windows(self, replicas, makespan: float) -> tuple[WindowReport, ...]:
         window_seconds = self.window_seconds
@@ -399,15 +404,16 @@ class ReportAccumulator:
         tails = self._window_tails[:count]
         arrivals += [0] * (count - len(arrivals))
         completed += [0] * (count - len(completed))
-        tails += [self._window_p2(0.99) for _ in range(count - len(tails))]
+        tails += [self._histogram() for _ in range(count - len(tails))]
         # A completion exactly at makespan landed one bucket past the last
         # (partial) window; fold any overflow back, mirroring the exact path.
         for bucket in range(count, len(self._window_completed)):
             arrivals[-1] += self._window_arrivals[bucket]
             completed[-1] += self._window_completed[bucket]
-            overflow = self._window_tails[bucket]
-            if overflow.count:
-                tails[-1] = overflow if not tails[-1].count else tails[-1]
+            merged = self._histogram()      # finalize() leaves state intact
+            merged.merge(tails[-1])
+            merged.merge(self._window_tails[bucket])
+            tails[-1] = merged
         windows = []
         for index in range(count):
             start = index * window_seconds
@@ -418,7 +424,7 @@ class ReportAccumulator:
                 start=start, end=end, arrivals=arrivals[index],
                 completed=completed[index],
                 throughput_rps=completed[index] / width if width else 0.0,
-                p99=tails[index].value if completed[index] else 0.0,
+                p99=tails[index].quantile(0.99) if completed[index] else 0.0,
                 mean_active_replicas=overlap / width if width else 0.0))
         return tuple(windows)
 

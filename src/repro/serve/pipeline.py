@@ -322,8 +322,9 @@ class _Flight:
 
 
 class _StageStats:
-    """Per-stage request accounting, exact (lists) or streaming (P² sketches)
-    — same output shape either way, and the SLO counter is exact in both."""
+    """Per-stage request accounting, exact (lists) or streaming (log
+    histograms) — same output shape either way, and the SLO counter is exact
+    in both."""
 
     def __init__(self, streaming: bool, percentiles: Sequence[float],
                  slo_seconds: float | None):
@@ -419,6 +420,11 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
     end-to-end (entry arrival to exit completion), ``queue_wait`` sums the
     per-stage waits, ``model`` is the pipeline name — plus the additive
     ``pipeline`` block with per-stage breakdowns and handoff accounting.
+
+    ``summary`` mirrors :func:`repro.serve.serve`: ``"exact"`` (default)
+    keeps per-request records and exact order statistics; ``"streaming"``
+    folds end-to-end and per-stage latencies into log histograms, bounding
+    memory with every quantile within 1 % relative of the exact one.
     """
 
     if isinstance(pipeline, str):

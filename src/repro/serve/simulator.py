@@ -22,7 +22,7 @@ The loop *streams*: arrivals are pulled lazily from
 :meth:`~repro.serve.traffic.TrafficPattern.iter_arrivals` (the heap holds
 in-flight work plus exactly one future arrival, never the whole trace), and
 ``summary="streaming"`` additionally folds completions into bounded-memory
-P² accumulators (:class:`~repro.serve.metrics.ReportAccumulator`) instead of
+log histograms (:class:`~repro.serve.metrics.ReportAccumulator`) instead of
 keeping a record per request — making memory independent of request count.
 The default ``summary="exact"`` keeps the per-request records and
 nearest-rank order statistics, bit-identical to the pre-streaming reports.
@@ -81,7 +81,7 @@ DEFAULT_CACHE_ENTRIES = 1024
 
 #: Report summary modes: ``"exact"`` keeps per-request records (nearest-rank
 #: percentiles, O(requests) memory); ``"streaming"`` folds completions into
-#: P² sketches (bounded memory, estimated quantiles).
+#: log histograms (bounded memory, quantiles within 1 % of exact).
 SUMMARY_MODES = ("exact", "streaming")
 
 #: Runtime (non-arrival) events sequence from this base, far above any
@@ -128,10 +128,10 @@ def serve(traffic: TrafficPattern, fleet: Fleet | str,
     ``summary`` selects the reporting fold: ``"exact"`` (default) keeps one
     record per request and reports exact nearest-rank percentiles —
     bit-identical to historical reports; ``"streaming"`` folds completions
-    into P² sketches as they happen, bounding memory at
-    O(replicas + models + windows + percentiles) for arbitrarily long runs
-    (quantiles become estimates — see
-    :class:`~repro.serve.metrics.ReportAccumulator` for the error envelope).
+    into log histograms as they happen, bounding memory at
+    O(replicas + models + windows) for arbitrarily long runs (quantiles
+    become estimates within 1 % relative of the exact ones — see
+    :class:`~repro.serve.metrics.ReportAccumulator` for the bound).
 
     ``obs`` (a :class:`repro.obs.Observability`) attaches tracing, streaming
     metrics and/or progress reporting.  The hooks are pure observers: an

@@ -19,13 +19,14 @@ import logging
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.obs import (
     LOG_LEVELS,
+    LogHistogram,
     MetricsCollector,
     Observability,
-    P2Quantile,
     PID_FLEET,
     PID_REQUESTS,
     Progress,
@@ -38,6 +39,7 @@ from repro.obs import (
     prometheus_text,
     summarize_trace,
 )
+from repro.obs.sketch import ALPHA, MIN_VALUE
 from repro.plan import Autoscaler
 from repro.serve import (
     KVCacheConfig,
@@ -78,29 +80,61 @@ def request_span_sums(recorder):
     return sums
 
 
-# --------------------------------------------------------------- P2 sketch
+# ------------------------------------------------------------ log histogram
+
+#: Latency-like samples: exact zeros, sub-``MIN_VALUE`` values (the zero
+#: bucket) and positives across twelve decades.
+SAMPLES = st.lists(st.one_of(st.just(0.0),
+                             st.floats(1e-12, 1e4, allow_nan=False)),
+                   min_size=1, max_size=200)
+FRACTIONS = st.floats(0.0, 1.0, exclude_min=True)
 
 
-def test_p2_exact_below_five_samples():
-    sketch = P2Quantile(0.5)
-    for value in (5.0, 1.0, 3.0):
-        sketch.add(value)
-    assert sketch.value == 3.0           # nearest-rank median of {1, 3, 5}
+def histogram_of(values):
+    histogram = LogHistogram()
+    for value in values:
+        histogram.add(value)
+    return histogram
 
 
-def test_p2_tracks_known_quantiles():
-    # A deterministic pseudo-random stream; P2 should land within a few
-    # percent of the exact nearest-rank value on a smooth distribution.
-    values, state = [], 1234567
-    for _ in range(5000):
-        state = (1103515245 * state + 12345) % (1 << 31)
-        values.append(state / float(1 << 31))
-    for fraction in (0.5, 0.9, 0.99):
-        sketch = P2Quantile(fraction)
-        for value in values:
-            sketch.add(value)
-        exact = percentile(values, fraction)
-        assert sketch.value == pytest.approx(exact, abs=0.02)
+def state_of(histogram):
+    return (list(histogram.counts.items()), histogram.count, histogram.total,
+            histogram.min, histogram.max)
+
+
+@settings(deadline=None)
+@given(values=SAMPLES, fraction=FRACTIONS)
+def test_log_histogram_quantile_within_alpha_of_nearest_rank(values, fraction):
+    exact = percentile(values, fraction)
+    histogram = histogram_of(values)
+    estimate = histogram.quantile(fraction)
+    assert abs(estimate - exact) <= ALPHA * exact * (1 + 1e-9) + MIN_VALUE
+    if exact <= MIN_VALUE:
+        assert estimate == 0.0            # the zero bucket reports 0
+    else:
+        assert histogram.min <= estimate <= histogram.max
+
+
+@settings(deadline=None)
+@given(first=SAMPLES, second=SAMPLES,
+       fractions=st.lists(FRACTIONS, min_size=1, max_size=5))
+def test_log_histogram_merge_matches_one_stream(first, second, fractions):
+    fed = histogram_of(first + second)
+    for a, b in ((first, second), (second, first)):
+        merged = histogram_of(a)
+        merged.merge(histogram_of(b))
+        assert merged.counts == fed.counts
+        assert (merged.count, merged.min, merged.max) == \
+            (fed.count, fed.min, fed.max)
+        assert merged.total == pytest.approx(fed.total)
+        for fraction in fractions:
+            assert merged.quantile(fraction) == fed.quantile(fraction)
+
+
+@settings(deadline=None)
+@given(values=SAMPLES)
+def test_log_histogram_same_stream_same_state(values):
+    assert state_of(histogram_of(values)) == state_of(histogram_of(values))
 
 
 def test_streaming_latency_summary_matches_percentile():
