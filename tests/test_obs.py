@@ -13,6 +13,7 @@ The load-bearing contracts pinned here:
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import logging
@@ -46,6 +47,7 @@ from repro.serve import (
     make_policy,
     make_router,
     make_traffic,
+    PipelineSpec,
     percentile,
     serve,
     serve_llm,
@@ -360,6 +362,55 @@ def test_metrics_windows_bounded():
     for name in metrics.replicas:
         for value in metrics.utilization(name):
             assert 0.0 <= value <= 1.0 + 1e-9
+
+
+def traced_classic_run() -> Observability:
+    obs = Observability(trace=TraceRecorder(), metrics=MetricsCollector())
+    serve(make_traffic("diurnal", 2000.0, ("deit-tiny", "levit-128"),
+                       period=1.5),
+          "2xvitality", make_policy("size", batch_size=4),
+          make_router("least-loaded"), duration=1.5, seed=7, obs=obs,
+          autoscaler=Autoscaler("queue-depth", "vitality", max_replicas=4,
+                                interval=0.25, provision_seconds=0.1))
+    return obs
+
+
+def traced_pipeline_run() -> Observability:
+    obs = Observability(trace=TraceRecorder(), metrics=MetricsCollector())
+    serve_pipeline(
+        make_traffic("bursty", 300.0, ("deit-tiny",)),
+        PipelineSpec.cascade("spec", "encoder[tokens=32]", "deit-tiny", 0.6),
+        {"draft": "1xvitality", "verify": "2xvitality"},
+        duration=1.5, seed=21, obs=obs,
+        autoscalers={
+            "draft": Autoscaler("queue-depth", "vitality", max_replicas=3,
+                                interval=0.25, provision_seconds=0.1),
+            "verify": Autoscaler("utilization", "vitality", max_replicas=3,
+                                 interval=0.25, provision_seconds=0.1)})
+    return obs
+
+
+#: sha256 of (Chrome trace JSON, Prometheus text) per traced run.  Pins the
+#: hook stream byte for byte — span order, args, counters, scale instants
+#: and metric windows — so a refactor of the event loops or of the hook
+#: signatures cannot silently change what an observer sees.
+EXPORT_DIGESTS = {
+    "classic": (
+        "8947073e986c4e181e25f1aff88c1f1d50e52562fee4536d8a12eb8b98710962",
+        "1d897cb71e62e3dcd61b5af5fcc19971cde21078668f0b475a0f436cb66651e1"),
+    "pipeline": (
+        "ee85092dbfd3e745e3719ddb5c040db0a844e6903bed10434d040bb7b277570b",
+        "ca556df2bce1b5677b6eed6dce3d50edfefa014fd6fc22f20fb52247a63973ef"),
+}
+
+
+@pytest.mark.parametrize("run", ["classic", "pipeline"])
+def test_export_bytes_pinned(run):
+    obs = {"classic": traced_classic_run, "pipeline": traced_pipeline_run}[run]()
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (chrome_trace_json(obs.trace),
+                                 prometheus_text(obs.metrics)))
+    assert digests == EXPORT_DIGESTS[run]
 
 
 # ---------------------------------------------------------------- summarize

@@ -2,10 +2,11 @@
 
 Four guarantees of the scale work, pinned:
 
-- **Bit-identity of the default path** — ``summary="exact"`` reports are
-  byte-for-byte what the pre-streaming simulator produced
-  (``tests/data/serve_goldens.json``, captured before lazy arrivals, the
-  ``LoadIndex`` router and heapified event seeding landed);
+- **Bit-identity of both summary modes** — reports are byte-for-byte the
+  pinned ones (``tests/data/serve_goldens.json``: the classic and LLM
+  ``summary="exact"`` entries were captured before lazy arrivals, the
+  ``LoadIndex`` router and heapified event seeding landed; pipeline and
+  ``-streaming`` entries pin ``serve_pipeline`` and the streaming fold);
 - **Laziness is unobservable** — a pattern exposing only the materialised
   ``arrivals()`` list serves bit-identically to its generator-native self;
 - **Streaming summaries honour the documented error bound** — running-sum
