@@ -13,10 +13,14 @@ design point into a family of design points:
 * :mod:`memory` — word-level memory-traffic accounting and the Table V
   energy-breakdown container;
 * :mod:`pipeline` — the intra-layer chunk-occupancy pipeline model;
-* :mod:`knobs` — the design-point grammar: ``pe=32x32,freq=1ghz`` knob
-  strings parsed into a hashable :class:`HardwareConfig`;
 * :mod:`families` — per-family knob schemas and builders materialising a
   :class:`HardwareConfig` into the family's concrete configuration.
+
+The design-point grammar itself (``pe=32x32,freq=1ghz`` knob strings parsed
+into a hashable config) lives in the neutral :mod:`repro.knobs`, because
+workloads are spelled with the same grammar; a parsed hardware design point
+is a :class:`HardwareConfig`, the hardware-facing name of
+:class:`~repro.knobs.KnobConfig`.
 
 Every scaling rule is exact at the reference point (all ratios 1 short-circuit
 to the original object), so default-knob design points stay bit-identical to
@@ -38,7 +42,10 @@ from repro.hardware.core.pipeline import (
     pipeline_speedup,
     sequential_latency,
 )
-from repro.hardware.core.knobs import HardwareConfig, Knob, KnobError, KnobSchema
+from repro.knobs import Knob, KnobConfig, KnobError, KnobSchema
+
+#: A hardware design point: a target family plus its non-default knob settings.
+HardwareConfig = KnobConfig
 
 __all__ = [
     "AccumulatorArray",

@@ -3,11 +3,25 @@
 :class:`Observability` bundles an optional :class:`TraceRecorder`, an
 optional :class:`MetricsCollector` and an optional :class:`Progress` and
 translates simulator lifecycle hooks into trace spans, streaming samples
-and progress ticks.  The simulators (`serve`, `serve_llm`, the autoscaler)
-accept ``obs=None`` and guard every hook with ``if obs is not None`` — the
-disabled path stays the exact pre-observability code — and the hooks
-themselves never mutate simulator state, so an instrumented run produces a
-bit-identical :class:`ServeReport`.
+and progress ticks.  Its callers — the serving kernel behind ``serve`` and
+``serve_pipeline``, ``serve_llm`` and the autoscaler — accept ``obs=None``
+and guard every hook with ``if obs is not None``, so the disabled path
+costs one check per hook site; the hooks themselves never mutate simulator
+state, so an instrumented run produces a bit-identical :class:`ServeReport`.
+
+The hooks, by caller:
+
+* run lifecycle — :meth:`~Observability.begin_run`,
+  :meth:`~Observability.end_run`, :meth:`~Observability.event_tick`;
+* the serving kernel (classic and pipeline alike) —
+  :meth:`~Observability.request_routed` (``entry=False`` for a pipeline hop),
+  :meth:`~Observability.batch_dispatched` (``stage`` set on pipeline pools),
+  :meth:`~Observability.stage_handoff` between pipeline stages and
+  :meth:`~Observability.request_finished` once per completed request;
+* fleets and autoscalers — :meth:`~Observability.replica_retired`,
+  :meth:`~Observability.scale_event`;
+* ``serve_llm`` — ``request_routed`` plus the prefill/decode/KV hooks
+  (``prefill_admitted`` … ``request_completed``).
 
 Span accounting contract (the tests pin it): each request's phase spans
 partition ``[arrival, completion]`` — ``queue`` + ``service`` for classic
@@ -111,41 +125,69 @@ class Observability:
             self.metrics.on_kv(replica.name, now, replica.kv_used,
                                replica.kv_capacity)
 
-    # ------------------------------------------------------- classic serving
+    # ---------------------------------------------- classic/pipeline serving
 
-    def request_routed(self, request, replica, now: float, depth: int) -> None:
-        """A request landed on a replica's queue (classic or prefill)."""
+    def request_routed(self, request, replica, now: float, depth: int,
+                       entry: bool = True) -> None:
+        """A request landed on a replica's queue (classic, pipeline stage or
+        prefill); ``entry`` is False for a pipeline hop past the entry stage,
+        which is not a new arrival."""
 
         if self._passive:
             return
-        if self.metrics is not None:
+        if self.metrics is not None and entry:
             self.metrics.on_arrival(now)
         self._queue_counter(replica, now, depth)
 
-    def batch_dispatched(self, replica, batch, now: float, finish: float) -> None:
-        """Classic dispatch: whole batch runs as one monolithic job."""
+    def batch_dispatched(self, replica, batch, now: float, finish: float,
+                         stage: str | None = None) -> None:
+        """A batch runs as one monolithic job; per-request queue/service
+        spans carry the pipeline ``stage`` (if any) so each request's track
+        partitions arrival→completion."""
 
         if self._passive:
             return
         if self.trace is not None:
             self._track(replica)
             model = batch[0].model
+            args = {"replica": replica.name, "model": model,
+                    "batch_size": len(batch)}
+            if stage is not None:
+                args["stage"] = stage
             self.trace.span(f"{model} x{len(batch)}", start=now, end=finish,
                             pid=PID_FLEET, tid=replica.index + 1, cat="dispatch",
-                            args={"replica": replica.name, "model": model,
-                                  "batch_size": len(batch)})
+                            args=args)
             for request in batch:
                 self._request_span(PHASE_QUEUE, request.index, request.model,
-                                   replica.name, request.arrival, now)
+                                   replica.name, request.arrival, now,
+                                   stage=stage)
                 self._request_span(PHASE_SERVICE, request.index, request.model,
-                                   replica.name, now, finish)
+                                   replica.name, now, finish, stage=stage)
         if self.metrics is not None:
             self.metrics.on_dispatch(replica.name, now, finish, len(batch),
                                      requests=len(batch))
-            for request in batch:
-                self.metrics.on_completion(finish, finish - request.arrival,
-                                           queue_wait=now - request.arrival)
         self._queue_counter(replica, now, len(replica.queue))
+
+    def stage_handoff(self, index: int, model: str, replica_name: str,
+                      now: float, arrival: float, stage: str) -> None:
+        """The request is in flight from pipeline ``stage`` to its successor."""
+
+        if self._passive:
+            return
+        if self.trace is not None:
+            self._request_span(PHASE_HANDOFF, index, model, replica_name,
+                               now, arrival, stage=stage)
+
+    def request_finished(self, index: int, model: str, arrival: float,
+                         queue_wait: float, completion: float) -> None:
+        """A classic request completed or a pipeline request exited; one
+        end-to-end completion."""
+
+        if self._passive:
+            return
+        if self.metrics is not None:
+            self.metrics.on_completion(completion, completion - arrival,
+                                       queue_wait=queue_wait)
 
     def replica_retired(self, replica, now: float) -> None:
         """A drained replica went idle with an empty queue."""
@@ -165,64 +207,6 @@ class Observability:
                                tid=TID_AUTOSCALER, cat="autoscaler",
                                args={"replica": event.replica,
                                      "detail": event.detail})
-
-    # ------------------------------------------------------ pipeline serving
-
-    def pipeline_routed(self, request, replica, now: float, depth: int,
-                        entry: bool) -> None:
-        """A request landed on one stage's queue; ``entry`` marks arrival at
-        the pipeline's entry stage (the only hop counted as an arrival)."""
-
-        if self._passive:
-            return
-        if self.metrics is not None and entry:
-            self.metrics.on_arrival(now)
-        self._queue_counter(replica, now, depth)
-
-    def stage_dispatched(self, replica, batch, now: float, finish: float,
-                         stage: str) -> None:
-        """One stage batch ran; per-request queue/service spans carry the
-        stage name so per-request tracks partition arrival→completion."""
-
-        if self._passive:
-            return
-        if self.trace is not None:
-            self._track(replica)
-            model = batch[0].model
-            self.trace.span(f"{model} x{len(batch)}", start=now, end=finish,
-                            pid=PID_FLEET, tid=replica.index + 1, cat="dispatch",
-                            args={"replica": replica.name, "model": model,
-                                  "batch_size": len(batch), "stage": stage})
-            for request in batch:
-                self._request_span(PHASE_QUEUE, request.index, request.model,
-                                   replica.name, request.arrival, now,
-                                   stage=stage)
-                self._request_span(PHASE_SERVICE, request.index, request.model,
-                                   replica.name, now, finish, stage=stage)
-        if self.metrics is not None:
-            self.metrics.on_dispatch(replica.name, now, finish, len(batch),
-                                     requests=len(batch))
-        self._queue_counter(replica, now, len(replica.queue))
-
-    def stage_handoff(self, index: int, model: str, replica_name: str,
-                      now: float, arrival: float, stage: str) -> None:
-        """The request is in flight from ``stage`` to its successor."""
-
-        if self._passive:
-            return
-        if self.trace is not None:
-            self._request_span(PHASE_HANDOFF, index, model, replica_name,
-                               now, arrival, stage=stage)
-
-    def pipeline_completed(self, index: int, model: str, arrival: float,
-                           queue_wait: float, completion: float) -> None:
-        """The request exited the pipeline; one end-to-end completion."""
-
-        if self._passive:
-            return
-        if self.metrics is not None:
-            self.metrics.on_completion(completion, completion - arrival,
-                                       queue_wait=queue_wait)
 
     # ----------------------------------------------------------- LLM serving
 

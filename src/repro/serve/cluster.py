@@ -76,14 +76,19 @@ class Replica:
     ``started_at`` / ``retired_at`` bound the replica's provisioned lifetime
     (autoscaled runs add replicas mid-run and retire drained ones); ``active``
     is False while the replica drains — routers skip it, but its queue keeps
-    dispatching until empty.
+    dispatching until empty.  ``stage`` names the pipeline stage whose pool
+    holds the replica (``None`` outside pipelines) and prefixes its name.
     """
 
+    stage: str | None
+
     def __init__(self, index: int, ordinal: int, spec: ReplicaSpec,
-                 started_at: float = 0.0, name_prefix: str = ""):
+                 started_at: float = 0.0, stage: str | None = None):
         self.index = index                       # fleet-wide position (tie-breaks)
         self.spec = spec
-        self.name = f"{name_prefix}{spec.label}#{ordinal}"
+        self.stage = stage
+        self.name = (f"{spec.label}#{ordinal}" if stage is None
+                     else f"{stage}/{spec.label}#{ordinal}")
         self.started_at = started_at
         self.queue: deque[Request] = deque()
         self.queued_seconds = 0.0                # estimated service time queued
@@ -154,23 +159,22 @@ class Fleet:
     """
 
     def __init__(self, specs: Sequence[ReplicaSpec], *, index_base: int = 0,
-                 name_prefix: str = ""):
+                 stage: str | None = None):
         if not specs:
             raise ValueError("a fleet needs at least one replica")
         self.replica_specs = tuple(specs)
-        # ``index_base`` / ``name_prefix`` keep replica indices and names
-        # unique when several fleets share one run (pipeline stage pools):
-        # observability tracks and LoadIndex entries key on them.
+        # ``index_base`` and the ``stage`` name prefix keep replica indices
+        # and names unique when several fleets share one run (pipeline stage
+        # pools): observability tracks and LoadIndex entries key on them.
         self.index_base = index_base
-        self.name_prefix = name_prefix
+        self.stage = stage
         self._ordinals: dict[str, int] = {}
         self._active_cache: tuple[Replica, ...] | None = None
         replicas = []
         for index, spec in enumerate(self.replica_specs):
             ordinal = self._ordinals.get(spec.label, 0)
             self._ordinals[spec.label] = ordinal + 1
-            replica = Replica(index_base + index, ordinal, spec,
-                              name_prefix=name_prefix)
+            replica = Replica(index_base + index, ordinal, spec, stage=stage)
             replica._fleet = self
             replicas.append(replica)
         self.replicas = tuple(replicas)
@@ -178,7 +182,7 @@ class Fleet:
 
     @classmethod
     def parse(cls, text: str, *, index_base: int = 0,
-              name_prefix: str = "") -> "Fleet":
+              stage: str | None = None) -> "Fleet":
         """Parse ``"2xvitality,1xgpu:taylor"`` (count defaults to 1).
 
         Replica targets may be configured design points —
@@ -199,7 +203,7 @@ class Fleet:
             specs.extend(ReplicaSpec.parse(body) for _ in range(count))
         if not specs:
             raise ValueError(f"empty fleet spec {text!r}")
-        return cls(specs, index_base=index_base, name_prefix=name_prefix)
+        return cls(specs, index_base=index_base, stage=stage)
 
     @property
     def active_replicas(self) -> tuple[Replica, ...]:
@@ -231,7 +235,7 @@ class Fleet:
         ordinal = self._ordinals.get(spec.label, 0)
         self._ordinals[spec.label] = ordinal + 1
         replica = Replica(self.index_base + len(self.replicas), ordinal, spec,
-                         started_at=now, name_prefix=self.name_prefix)
+                          started_at=now, stage=self.stage)
         replica._fleet = self
         self.replicas = self.replicas + (replica,)
         self._invalidate_active()

@@ -66,7 +66,7 @@ from repro.serve.metrics import (
 from repro.serve.simulator import (
     DEFAULT_CACHE_ENTRIES,
     RUNTIME_SEQUENCE_BASE,
-    check_summary,
+    check_args,
 )
 from repro.serve.traffic import Request, TrafficPattern
 from repro.serve.traffic import iter_arrivals as _iter_arrivals
@@ -380,7 +380,7 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         raise ValueError("step_overhead_seconds and handoff_seconds must be >= 0")
     if min(ttft_slo_seconds, tpot_slo_seconds, slo_seconds) <= 0:
         raise ValueError("SLOs must be positive")
-    check_summary(summary)
+    check_args(summary=summary, percentiles=percentiles)
     kv = KVCacheConfig() if kv is None else kv
     cache = ResultCache(max_entries=DEFAULT_CACHE_ENTRIES) if cache is None else cache
 

@@ -24,6 +24,8 @@ from repro.serve import (
     make_traffic,
     percentile,
     serve,
+    serve_llm,
+    serve_pipeline,
 )
 
 MIX = WorkloadMix.of(["deit-tiny"])
@@ -433,6 +435,30 @@ class TestConfigurablePercentiles:
         with pytest.raises(ValueError, match="window_seconds"):
             serve(PoissonTraffic(rate=50.0, mix=MIX), "1xvitality",
                   duration=0.5, window_seconds=0.0)
+
+    @pytest.mark.parametrize("summary", ["exact", "streaming"])
+    @pytest.mark.parametrize("entry", ["serve", "serve_pipeline", "serve_llm"])
+    def test_out_of_range_percentiles_rejected_up_front(self, entry, summary):
+        """Regression: streaming runs reported ``p150``/``p-10`` keys and
+        exact runs raised only after simulating the whole run."""
+
+        class Unsimulated:
+            def iter_arrivals(self, duration, seed):
+                raise AssertionError("simulated before validating percentiles")
+
+            arrivals = iter_arrivals
+
+        run = {
+            "serve": lambda **kw: serve(Unsimulated(), "1xvitality", **kw),
+            "serve_pipeline": lambda **kw: serve_pipeline(
+                Unsimulated(), "encoder[tokens=64] -> deit-tiny",
+                {"encoder": "1xvitality", "deit-tiny": "1xvitality"}, **kw),
+            "serve_llm": lambda **kw: serve_llm(Unsimulated(), "1xvitality",
+                                                **kw),
+        }[entry]
+        for fraction in (1.5, -0.1):
+            with pytest.raises(ValueError, match=r"percentiles .*\[0, 1\]"):
+                run(duration=0.5, percentiles=(0.5, fraction), summary=summary)
 
     def test_per_model_summaries_carry_extra_percentiles(self):
         """Regression: per-model summaries used to drop the percentiles knob,
