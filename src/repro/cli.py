@@ -1074,6 +1074,10 @@ def _command_plan(arguments: argparse.Namespace) -> int:
             return _fail("--pipeline and --llm are mutually exclusive")
         return _command_plan_pipeline(arguments)
     if arguments.llm:
+        for flag, names in (("--models", models), ("--targets", targets)):
+            if len(names) > 1:
+                return _fail(f"plan --llm sizes one model on one target kind; "
+                             f"{flag} got {len(names)}: {', '.join(names)}")
         return _command_plan_llm(arguments, models[0], targets[0])
     weights: tuple[float, ...] | None = None
     if arguments.weights:

@@ -9,16 +9,14 @@ pattern, this package closes the operator's loop:
 * :mod:`autoscaler` — pluggable scaling policies (utilization-threshold,
   queue-depth, scheduled) behind an :class:`Autoscaler` the simulator's
   event loop consults, with provisioning delay and drain semantics;
-* :mod:`optimizer` — :func:`plan_capacity`, the SLO-driven fleet search:
-  enumerate candidate fleets, prune with the analytic model, validate the
-  survivors in simulation, report the chosen fleet and the cost-vs-SLO
-  Pareto frontier; :func:`plan_llm_capacity`, the same search over
-  disaggregated prefill/decode pool splits against a TTFT+TPOT SLO pair
-  (analytic pools via :func:`estimate_llm_pools`, validation via
-  :func:`repro.serve.serve_llm`); and :func:`plan_pipeline_capacity`, the
-  joint per-stage pool sizing for multi-stage pipelines against an
-  end-to-end SLO (tandem composition via :func:`estimate_pipeline`,
-  validation via :func:`repro.serve.serve_pipeline`).
+* :mod:`optimizer` — three SLO-driven planners over one search driver
+  (analytic prune, Pareto-first shortlist, simulated validation, cheapest
+  attained choice): :func:`plan_capacity` sizes ``count x kind`` fleets
+  (:func:`repro.serve.serve`), :func:`plan_pipeline_capacity` sizes every
+  stage pool of a pipeline jointly against an end-to-end SLO
+  (:func:`repro.serve.serve_pipeline`), and :func:`plan_llm_capacity` splits
+  prefill/decode pools against a TTFT+TPOT SLO pair
+  (:func:`repro.serve.serve_llm`).
 
 Typical use::
 

@@ -1,28 +1,30 @@
-"""SLO-driven capacity planning: search fleets, prune analytically, validate.
+"""SLO-driven capacity planning: one search driver over three candidate spaces.
 
-:func:`plan_capacity` answers the operator question the serving simulator
-alone cannot: *what is the cheapest fleet that meets a p99 latency SLO under
-this traffic?*  The search composes the layers below it:
+The planners answer the operator question the serving simulators alone
+cannot: *what is the cheapest deployment that meets a latency SLO under this
+traffic?*  Each enumerates its own candidate space and prices every
+candidate with the analytic queueing model (:mod:`repro.plan.queueing`):
 
-1. **Enumerate** candidate fleets — every replica kind in ``targets``
-   (configured design points and attention pins included) at every count up
-   to ``max_replicas``;
-2. **Prune** with the analytic queueing model (:mod:`repro.plan.queueing`):
-   unstable fleets and fleets whose predicted SLO-percentile latency exceeds
-   the SLO by more than the safety ``margin`` are discarded in microseconds;
-3. **Validate** the ``top_k`` best survivors — ranked analytic-first: the
-   Pareto boundary of the feasible set under (cost, predicted latency) goes
-   ahead of dominated survivors — with the discrete-event simulator
-   (:func:`repro.serve.serve`) under the real traffic pattern, and check the
-   *measured* percentile against the SLO.  ``jobs=N`` fans the validation
-   runs over a process pool;
-4. **Report** the chosen fleet (cheapest validated fleet meeting the SLO),
-   the one-replica-smaller boundary fleet (evidence the choice is minimal),
-   and the cost-vs-SLO-attainment Pareto frontier over everything validated.
+* :func:`plan_capacity` — ``count x kind`` fleets of every replica kind in
+  ``targets``, validated with :func:`repro.serve.serve`;
+* :func:`plan_pipeline_capacity` — per-stage replica-count vectors of a
+  multi-stage pipeline against an end-to-end SLO, validated with
+  :func:`repro.serve.serve_pipeline`;
+* :func:`plan_llm_capacity` — disaggregated ``(prefill, decode)`` splits
+  against a TTFT+TPOT SLO pair, validated with :func:`repro.serve.serve_llm`.
 
-Cost is silicon area (mm² per fleet) when every candidate kind models it,
-falling back to energy per request for platform targets; both are reported
-per candidate either way.
+All three then run one driver, :func:`_search`: **prune** to the candidates
+predicted stable and within ``margin`` times the SLO; **shortlist**
+analytic-first (the Pareto boundary under cost and predicted latency ahead
+of dominated survivors, cut at ``top_k``); **validate** the shortlist with
+the planner's module-level ``_measure_*`` simulation, serially on its engine
+cache or over ``jobs`` processes; **choose** the cheapest candidate whose
+*measured* percentiles meet the SLO.  The same ``_measure_*`` function
+measures the evidence around the choice: the one-replica-smaller boundary
+(reused when already validated) and the cost-vs-violation Pareto frontier
+for fleets and pipelines, the same-size colocated reference for LLM splits.
+Cost is silicon area (mm²) when every candidate kind models it, falling
+back to energy per request for platform targets.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 from repro.engine import ResultCache, target_area_mm2
-from repro.serve.cluster import Fleet, ReplicaSpec
+from repro.serve.cluster import ReplicaSpec
 from repro.serve.llm import (
     DEFAULT_HANDOFF_SECONDS,
     DEFAULT_MAX_BATCH,
@@ -92,20 +94,108 @@ def _kind_area(kind: str) -> float | None:
     return target_area_mm2(ReplicaSpec.parse(kind).target)
 
 
-def _rank_shortlist(feasible: Sequence[dict], keys: Sequence[str],
-                    cost: Callable[[dict], tuple], top_k: int) -> list[dict]:
-    """Analytic-first ranking: Pareto-boundary survivors (under minimisation
-    of ``keys``, typically cost and predicted latency) go ahead of dominated
-    ones; both groups are ordered by ``cost`` and the list is cut at
-    ``top_k``.  A dominated candidate — worse predicted latency at no lower
-    cost — only reaches the simulator once every boundary point has."""
+def _check_search(slo_percentile: float, margin: float, top_k: int) -> None:
+    """The argument checks every planner shares, before any estimate runs."""
 
-    boundary = pareto_frontier(list(feasible), keys) if feasible else []
+    if not 0 < slo_percentile < 1:
+        raise ValueError(f"slo_percentile must be in (0, 1), "
+                         f"got {slo_percentile}")
+    if not margin > 0:
+        raise ValueError(f"margin must be positive, got {margin}")
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
+
+
+def _search(candidates: Sequence[dict], *, keys: Sequence[str],
+            cost: Callable[[dict], tuple], measure: Callable[..., dict],
+            name: Callable[[dict], str], noun: str, top_k: int,
+            jobs: int | None, cache, duration: float,
+            progress: Callable[[str], None] | None
+            ) -> tuple[list[dict], dict | None]:
+    """Shortlist, validate and choose: the search every planner shares.
+
+    Feasible candidates on the Pareto boundary under ``keys`` (cost and
+    predicted latency) go ahead of dominated ones, each group ordered by
+    ``cost``, cut at ``top_k``.  ``measure`` (a picklable partial of a
+    ``_measure_*`` function) runs over a :class:`ProcessPoolExecutor` when
+    ``jobs`` > 1 — workers use their own engine caches, which changes only
+    the cache accounting — else serially on ``cache``, so every shape the
+    analytic prune simulated is free.  Returns the validated candidates in
+    shortlist order and the cheapest one that attained its SLO (or None).
+    """
+
+    feasible = [candidate for candidate in candidates
+                if candidate["predicted_feasible"]]
+    boundary = pareto_frontier(feasible, keys) if feasible else []
     boundary_ids = {id(candidate) for candidate in boundary}
     dominated = [candidate for candidate in feasible
                  if id(candidate) not in boundary_ids]
-    ranked = sorted(boundary, key=cost) + sorted(dominated, key=cost)
-    return ranked[:top_k]
+    shortlist = (sorted(boundary, key=cost) + sorted(dominated, key=cost))[:top_k]
+    _note(progress, f"analytic prune: {len(candidates)} {noun}, "
+                    f"{len(feasible)} feasible, validating {len(shortlist)}")
+
+    if jobs is not None and jobs > 1 and len(shortlist) > 1:
+        workers = min(jobs, len(shortlist))
+        _note(progress, f"validating {len(shortlist)} {noun} across "
+                        f"{workers} processes")
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            validated = list(pool.map(measure, shortlist))
+    else:
+        validated = []
+        for candidate in shortlist:
+            _note(progress, f"validating {name(candidate)} "
+                            f"({duration:.1f}s simulated)")
+            validated.append(measure(candidate, cache=cache))
+
+    attained = [candidate for candidate in validated if candidate["slo_attained"]]
+    chosen = min(attained, key=cost) if attained else None
+    _note(progress, f"chosen: {name(chosen)}" if chosen is not None
+                    else f"chosen: none (no validated {noun} met the SLO)")
+    return validated, chosen
+
+
+def _boundary(smaller: dict | None, validated: Sequence[dict], key: str,
+              fields: Sequence[str], measure: Callable[..., dict], cache,
+              progress: Callable[[str], None] | None) -> dict | None:
+    """``fields`` of the one-replica-smaller candidate ``smaller`` (taken
+    from the planner's own candidate list): its validation when it was
+    shortlisted, else one ``measure`` run on ``cache``."""
+
+    if smaller is None:
+        return None
+    measured = next((candidate for candidate in validated
+                     if candidate[key] == smaller[key]), None)
+    if measured is None:
+        _note(progress, f"checking boundary candidate {smaller[key]}")
+        measured = measure(smaller, cache=cache)
+    return {field: measured[field] for field in fields}
+
+
+def _mark_frontier(validated: Sequence[dict], cost_key: str,
+                   key: str) -> list[dict]:
+    """The cost-vs-violation Pareto frontier over the validated candidates
+    that carry a cost; flags each validated candidate's ``pareto``."""
+
+    frontier = pareto_frontier([dict(candidate) for candidate in validated
+                                if candidate[cost_key] is not None],
+                               [cost_key, "slo_violation_rate"])
+    on_frontier = {point[key] for point in frontier}
+    for candidate in validated:
+        candidate["pareto"] = candidate[key] in on_frontier
+    return frontier
+
+
+def _cost_order(cost_key: str, key: str) -> Callable[[dict], tuple]:
+    """Fleet and pipeline cost order: the cost objective (unknown last),
+    then energy per request, replica count and ``key`` as tie-breaks."""
+
+    def cost(candidate: dict) -> tuple:
+        return (candidate[cost_key] if candidate[cost_key] is not None
+                else float("inf"),
+                candidate["energy_per_request_mj"],
+                candidate["replicas"], candidate[key])
+
+    return cost
 
 
 def _measure_fleet(candidate: dict, *, traffic, policy, router, duration,
@@ -166,8 +256,9 @@ def plan_capacity(rate: float, models: Sequence[str] | str, *,
     validation simulations over a :class:`ProcessPoolExecutor`; every
     measured figure is identical to the serial run (workers use their own
     engine caches, so only the payload's ``cache`` accounting block
-    reflects the analytic phase alone).  Deterministic for a fixed ``seed``:
-    same arguments, bit-identical measurements.  ``progress`` (a one-string
+    reflects the analytic phase alone).  The ``boundary`` is the chosen
+    kind at one replica fewer.  Deterministic for a fixed ``seed``: same
+    arguments, bit-identical measurements.  ``progress`` (a one-string
     callable, e.g. :meth:`repro.obs.Progress.step`) receives a milestone
     line per search stage.
     """
@@ -176,8 +267,7 @@ def plan_capacity(rate: float, models: Sequence[str] | str, *,
         raise ValueError(f"slo_seconds must be positive, got {slo_seconds}")
     if max_replicas < 1:
         raise ValueError(f"max_replicas must be >= 1, got {max_replicas}")
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    _check_search(slo_percentile, margin, top_k)
     if not targets:
         raise ValueError("the search space needs at least one target kind")
     if isinstance(models, str):
@@ -218,80 +308,28 @@ def plan_capacity(rate: float, models: Sequence[str] | str, *,
                 "analytic": estimate.to_dict(),
             })
 
-    def cost(candidate: dict) -> tuple:
-        return (candidate[cost_key] if candidate[cost_key] is not None
-                else float("inf"),
-                candidate["energy_per_request_mj"],
-                candidate["replicas"], candidate["kind"])
-
-    feasible = [candidate for candidate in candidates
-                if candidate["predicted_feasible"]]
-    shortlist = _rank_shortlist(feasible,
-                                [cost_key, f"predicted_{label}_ms"],
-                                cost, top_k)
-    _note(progress, f"analytic prune: {len(candidates)} candidates, "
-                    f"{len(feasible)} feasible, validating {len(shortlist)}")
-
     measure = partial(_measure_fleet, traffic=traffic, policy=policy,
                       router=router, duration=duration, seed=seed,
                       slo_seconds=slo_seconds,
                       dispatch_overhead_seconds=dispatch_overhead_seconds,
                       percentiles=percentiles, slo_percentile=slo_percentile,
                       label=label)
-    if jobs is not None and jobs > 1 and len(shortlist) > 1:
-        workers = min(jobs, len(shortlist))
-        _note(progress, f"validating {len(shortlist)} fleets across "
-                        f"{workers} processes")
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            validated = list(pool.map(measure, shortlist))
-    else:
-        validated = []
-        for candidate in shortlist:
-            _note(progress, f"validating {candidate['fleet']} "
-                            f"({duration:.1f}s simulated)")
-            # Serial validation shares the prune's engine cache: every
-            # (model, target, batch) shape the analytic pass already
-            # simulated is free here (and a --cache-dir DiskResultCache
-            # persists both phases).
-            validated.append(measure(candidate, cache=service_times.cache))
+    validated, chosen = _search(
+        candidates, keys=[cost_key, f"predicted_{label}_ms"],
+        cost=_cost_order(cost_key, "fleet"), measure=measure,
+        name=lambda candidate: candidate["fleet"], noun="fleets",
+        top_k=top_k, jobs=jobs, cache=service_times.cache,
+        duration=duration, progress=progress)
 
-    attained = [candidate for candidate in validated if candidate["slo_attained"]]
-    chosen = min(attained, key=cost) if attained else None
-    _note(progress, f"chosen: {chosen['fleet']}" if chosen is not None
-                    else "chosen: none (no validated fleet met the SLO)")
-
-    boundary = None
+    smaller = None
     if chosen is not None and chosen["replicas"] > 1:
-        smaller = f"{chosen['replicas'] - 1}x{chosen['kind']}"
-        already = next((candidate for candidate in validated
-                        if candidate["fleet"] == smaller), None)
-        if already is not None:      # shortlisted earlier: don't re-simulate
-            boundary = {key: already[key] for key in
-                        ("fleet", f"{label}_ms", "slo_attained",
-                         "slo_violation_rate", "throughput_rps")}
-        else:
-            _note(progress, f"checking boundary fleet {smaller}")
-            report = serve(traffic, smaller, policy=policy, router=router,
-                           duration=duration, seed=seed,
-                           slo_seconds=slo_seconds,
-                           dispatch_overhead_seconds=dispatch_overhead_seconds,
-                           percentiles=percentiles, cache=service_times.cache)
-            measured = report.latency.quantile(slo_percentile)
-            boundary = {
-                "fleet": smaller,
-                f"{label}_ms": measured * 1e3,
-                "slo_attained": measured <= slo_seconds,
-                "slo_violation_rate": report.slo_violation_rate,
-                "throughput_rps": report.throughput_rps,
-            }
-
-    frontier_points = [dict(candidate) for candidate in validated
-                       if candidate[cost_key] is not None]
-    frontier = pareto_frontier(frontier_points,
-                               [cost_key, "slo_violation_rate"])
-    frontier_fleets = {point["fleet"] for point in frontier}
-    for candidate in validated:
-        candidate["pareto"] = candidate["fleet"] in frontier_fleets
+        fleet = f"{chosen['replicas'] - 1}x{chosen['kind']}"
+        smaller = next(candidate for candidate in candidates
+                       if candidate["fleet"] == fleet)
+    boundary = _boundary(smaller, validated, "fleet",
+                         ("fleet", f"{label}_ms", "slo_attained",
+                          "slo_violation_rate", "throughput_rps"),
+                         measure, service_times.cache, progress)
 
     return {
         "config": {
@@ -310,7 +348,7 @@ def plan_capacity(rate: float, models: Sequence[str] | str, *,
         "validated": validated,
         "chosen": chosen,
         "boundary": boundary,
-        "pareto_frontier": frontier,
+        "pareto_frontier": _mark_frontier(validated, cost_key, "fleet"),
         "cache": service_times.cache.stats().to_dict(),
     }
 
@@ -391,8 +429,7 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
     if max_replicas_per_stage < 1:
         raise ValueError(f"max_replicas_per_stage must be >= 1, "
                          f"got {max_replicas_per_stage}")
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    _check_search(slo_percentile, margin, top_k)
     stage_names = [stage.name for stage in pipeline.stages]
     if isinstance(targets, str):
         kinds = {name: targets for name in stage_names}
@@ -471,20 +508,6 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
                           for name in stage_names},
         })
 
-    def cost(candidate: dict) -> tuple:
-        return (candidate[cost_key] if candidate[cost_key] is not None
-                else float("inf"),
-                candidate["energy_per_request_mj"],
-                candidate["replicas"], candidate["pools_text"])
-
-    feasible = [candidate for candidate in candidates
-                if candidate["predicted_feasible"]]
-    shortlist = _rank_shortlist(feasible,
-                                [cost_key, f"predicted_{label}_ms"],
-                                cost, top_k)
-    _note(progress, f"analytic prune: {len(candidates)} candidates, "
-                    f"{len(feasible)} feasible, validating {len(shortlist)}")
-
     measure = partial(_measure_pipeline, traffic=traffic, pipeline=pipeline,
                       policy=policy, router=router, duration=duration,
                       seed=seed, slo_seconds=slo_seconds,
@@ -493,71 +516,25 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
                       dispatch_overhead_seconds=dispatch_overhead_seconds,
                       percentiles=percentiles, slo_percentile=slo_percentile,
                       label=label)
-    if jobs is not None and jobs > 1 and len(shortlist) > 1:
-        workers = min(jobs, len(shortlist))
-        _note(progress, f"validating {len(shortlist)} candidates across "
-                        f"{workers} processes")
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            validated = list(pool.map(measure, shortlist))
-    else:
-        validated = []
-        for candidate in shortlist:
-            _note(progress, f"validating {candidate['pools_text']} "
-                            f"({duration:.1f}s simulated)")
-            validated.append(measure(candidate, cache=service_times.cache))
-
-    attained = [candidate for candidate in validated
-                if candidate["slo_attained"]]
-    chosen = min(attained, key=cost) if attained else None
-    _note(progress, f"chosen: {chosen['pools_text']}" if chosen is not None
-                    else "chosen: none (no validated candidate met the SLO)")
+    validated, chosen = _search(
+        candidates, keys=[cost_key, f"predicted_{label}_ms"],
+        cost=_cost_order(cost_key, "pools_text"), measure=measure,
+        name=lambda candidate: candidate["pools_text"], noun="candidates",
+        top_k=top_k, jobs=jobs, cache=service_times.cache,
+        duration=duration, progress=progress)
 
     boundary = None
     if chosen is not None and chosen["counts"][chosen["bottleneck"]] > 1:
         neck = chosen["bottleneck"]
-        smaller_counts = dict(chosen["counts"])
-        smaller_counts[neck] -= 1
-        smaller_pools = {name: f"{count}x{kinds[name]}"
-                         for name, count in smaller_counts.items()}
-        smaller_text = ";".join(f"{name}={smaller_pools[name]}"
-                                for name in stage_names)
-        already = next((candidate for candidate in validated
-                        if candidate["pools_text"] == smaller_text), None)
-        if already is not None:      # shortlisted earlier: don't re-simulate
-            boundary = {key: already[key] for key in
-                        ("pools", "pools_text", "counts", f"{label}_ms",
-                         "slo_attained", "slo_violation_rate",
-                         "throughput_rps")}
-            boundary["stage_shrunk"] = neck
-        else:
-            _note(progress, f"checking boundary candidate {smaller_text}")
-            report = serve_pipeline(
-                traffic, pipeline, smaller_pools, policy=policy,
-                router=router, duration=duration, seed=seed,
-                slo_seconds=slo_seconds,
-                stage_slo_seconds=stage_slo_seconds,
-                handoff_seconds=handoff_seconds,
-                dispatch_overhead_seconds=dispatch_overhead_seconds,
-                percentiles=percentiles, cache=service_times.cache)
-            measured = report.latency.quantile(slo_percentile)
-            boundary = {
-                "pools": smaller_pools,
-                "pools_text": smaller_text,
-                "counts": smaller_counts,
-                f"{label}_ms": measured * 1e3,
-                "slo_attained": measured <= slo_seconds,
-                "slo_violation_rate": report.slo_violation_rate,
-                "throughput_rps": report.throughput_rps,
-                "stage_shrunk": neck,
-            }
-
-    frontier_points = [dict(candidate) for candidate in validated
-                       if candidate[cost_key] is not None]
-    frontier = pareto_frontier(frontier_points,
-                               [cost_key, "slo_violation_rate"])
-    frontier_pools = {point["pools_text"] for point in frontier}
-    for candidate in validated:
-        candidate["pareto"] = candidate["pools_text"] in frontier_pools
+        counts = {**chosen["counts"], neck: chosen["counts"][neck] - 1}
+        smaller = next(candidate for candidate in candidates
+                       if candidate["counts"] == counts)
+        boundary = _boundary(smaller, validated, "pools_text",
+                             ("pools", "pools_text", "counts", f"{label}_ms",
+                              "slo_attained", "slo_violation_rate",
+                              "throughput_rps"),
+                             measure, service_times.cache, progress)
+        boundary["stage_shrunk"] = neck
 
     return {
         "config": {
@@ -580,40 +557,29 @@ def plan_pipeline_capacity(rate: float, pipeline: PipelineSpec | str, *,
         "validated": validated,
         "chosen": chosen,
         "boundary": boundary,
-        "pareto_frontier": frontier,
+        "pareto_frontier": _mark_frontier(validated, cost_key, "pools_text"),
         "cache": service_times.cache.stats().to_dict(),
     }
 
 
-def _llm_measurements(report, slo_percentile: float, label: str) -> dict:
-    """The measured figures shared by validation and colocated reference."""
+def _measure_llm(candidate: dict, *, traffic, duration, seed, prompt_tokens,
+                 output_tokens, prefill_chunk, max_batch, kv,
+                 step_overhead_seconds, handoff_seconds, ttft_slo_seconds,
+                 tpot_slo_seconds, percentiles, slo_percentile, label,
+                 cache=None) -> dict:
+    """Measure one ``plan_llm_capacity`` deployment in the simulator.
 
-    return {
-        f"ttft_{label}_ms": report.ttft.quantile(slo_percentile) * 1e3,
-        f"tpot_{label}_ms": report.tpot.quantile(slo_percentile) * 1e3,
-        "ttft_attainment": report.llm["ttft_attainment"],
-        "tpot_attainment": report.llm["tpot_attainment"],
-        "slo_attainment": report.llm["slo_attainment"],
-        "decode_tokens_per_second": report.llm["decode_tokens_per_second"],
-        "throughput_rps": report.throughput_rps,
-        "energy_per_request_mj": report.energy_per_request_joules * 1e3,
-    }
-
-
-def _measure_llm_split(candidate: dict, *, traffic, duration, seed,
-                       prompt_tokens, output_tokens, prefill_chunk,
-                       max_batch, kv, step_overhead_seconds, handoff_seconds,
-                       ttft_slo_seconds, tpot_slo_seconds, percentiles,
-                       slo_percentile, label, cache=None) -> dict:
-    """Validate one ``plan_llm_capacity`` split in the simulator.
-
-    Module-level so ``jobs=N`` can pickle it; same cache semantics as
-    :func:`_measure_fleet`.
+    ``candidate`` is a disaggregated split (``prefill_fleet`` +
+    ``decode_fleet``) or a colocated ``{"fleet": ...}``; the result echoes
+    whichever of the candidate's identifying and predicted fields it has,
+    then the measured TTFT/TPOT figures.  Module-level so ``jobs=N`` can
+    pickle it; same cache semantics as :func:`_measure_fleet`.
     """
 
     report = serve_llm(
-        traffic, prefill_fleet=candidate["prefill_fleet"],
-        decode_fleet=candidate["decode_fleet"], duration=duration,
+        traffic, candidate.get("fleet"),
+        prefill_fleet=candidate.get("prefill_fleet"),
+        decode_fleet=candidate.get("decode_fleet"), duration=duration,
         seed=seed, prompt_tokens=prompt_tokens,
         output_tokens=output_tokens, prefill_chunk=prefill_chunk,
         max_batch=max_batch, kv=kv,
@@ -622,20 +588,23 @@ def _measure_llm_split(candidate: dict, *, traffic, duration, seed,
         ttft_slo_seconds=ttft_slo_seconds,
         tpot_slo_seconds=tpot_slo_seconds,
         percentiles=percentiles, cache=cache)
-    measured = _llm_measurements(report, slo_percentile, label)
-    attained = (measured[f"ttft_{label}_ms"] <= ttft_slo_seconds * 1e3
-                and measured[f"tpot_{label}_ms"] <= tpot_slo_seconds * 1e3)
+    ttft_ms = report.ttft.quantile(slo_percentile) * 1e3
+    tpot_ms = report.tpot.quantile(slo_percentile) * 1e3
+    echoed = ("fleet", "prefill_fleet", "decode_fleet", "replicas",
+              "prefill_replicas", "decode_replicas", "area_mm2",
+              f"predicted_ttft_{label}_ms", "predicted_tpot_ms")
     return {
-        "prefill_fleet": candidate["prefill_fleet"],
-        "decode_fleet": candidate["decode_fleet"],
-        "replicas": candidate["replicas"],
-        "prefill_replicas": candidate["prefill_replicas"],
-        "decode_replicas": candidate["decode_replicas"],
-        "area_mm2": candidate["area_mm2"],
-        f"predicted_ttft_{label}_ms": candidate[f"predicted_ttft_{label}_ms"],
-        "predicted_tpot_ms": candidate["predicted_tpot_ms"],
-        "slo_attained": attained,
-        **measured,
+        **{field: candidate[field] for field in echoed if field in candidate},
+        "slo_attained": (ttft_ms <= ttft_slo_seconds * 1e3
+                         and tpot_ms <= tpot_slo_seconds * 1e3),
+        f"ttft_{label}_ms": ttft_ms,
+        f"tpot_{label}_ms": tpot_ms,
+        "ttft_attainment": report.llm["ttft_attainment"],
+        "tpot_attainment": report.llm["tpot_attainment"],
+        "slo_attainment": report.llm["slo_attainment"],
+        "decode_tokens_per_second": report.llm["decode_tokens_per_second"],
+        "throughput_rps": report.throughput_rps,
+        "energy_per_request_mj": report.energy_per_request_joules * 1e3,
     }
 
 
@@ -669,9 +638,9 @@ def plan_llm_capacity(rate: float, model: str, *,
     replica count and predicted TTFT ahead of dominated splits) and
     ``jobs`` > 1 fans the validation runs over a process pool, with the same
     cache caveat as :func:`plan_capacity`.  The payload also carries a
-    ``colocated_reference``: the
-    chosen split's total replica count run as one colocated continuous
-    fleet, so the disaggregation benefit is visible in the same units.
+    ``colocated_reference``: the chosen split's total replica count run as
+    one colocated continuous fleet, so the disaggregation benefit is
+    visible in the same units.
     Deterministic for fixed arguments.
     """
 
@@ -680,15 +649,14 @@ def plan_llm_capacity(rate: float, model: str, *,
     if max_replicas < 2:
         raise ValueError(f"max_replicas must be >= 2 (one replica per pool), "
                          f"got {max_replicas}")
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    _check_search(slo_percentile, margin, top_k)
     kv = KVCacheConfig() if kv is None else kv
     cache = ResultCache() if cache is None else cache
     if traffic is None:
         traffic = PoissonTraffic(rate=rate, mix=WorkloadMix.of([model]))
     label = percentile_label(slo_percentile)
     percentiles = tuple(sorted(set(DEFAULT_PERCENTILES) | {slo_percentile}))
-    area = target_area_mm2(ReplicaSpec.parse(target).target)
+    area = _kind_area(target)
 
     candidates = []
     for prefill in range(1, max_replicas):
@@ -727,15 +695,7 @@ def plan_llm_capacity(rate: float, model: str, *,
                 else float("inf"),
                 candidate["decode_replicas"])
 
-    feasible = [candidate for candidate in candidates
-                if candidate["predicted_feasible"]]
-    shortlist = _rank_shortlist(feasible,
-                                ["replicas", f"predicted_ttft_{label}_ms"],
-                                cost, top_k)
-    _note(progress, f"analytic prune: {len(candidates)} splits, "
-                    f"{len(feasible)} feasible, validating {len(shortlist)}")
-
-    measure = partial(_measure_llm_split, traffic=traffic, duration=duration,
+    measure = partial(_measure_llm, traffic=traffic, duration=duration,
                       seed=seed, prompt_tokens=prompt_tokens,
                       output_tokens=output_tokens,
                       prefill_chunk=prefill_chunk, max_batch=max_batch,
@@ -745,49 +705,19 @@ def plan_llm_capacity(rate: float, model: str, *,
                       tpot_slo_seconds=tpot_slo_seconds,
                       percentiles=percentiles, slo_percentile=slo_percentile,
                       label=label)
-    if jobs is not None and jobs > 1 and len(shortlist) > 1:
-        workers = min(jobs, len(shortlist))
-        _note(progress, f"validating {len(shortlist)} splits across "
-                        f"{workers} processes")
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            validated = list(pool.map(measure, shortlist))
-    else:
-        validated = []
-        for candidate in shortlist:
-            _note(progress, f"validating {candidate['prefill_fleet']} + "
-                            f"{candidate['decode_fleet']} "
-                            f"({duration:.1f}s simulated)")
-            validated.append(measure(candidate, cache=cache))
-
-    attained = [candidate for candidate in validated
-                if candidate["slo_attained"]]
-    chosen = min(attained, key=cost) if attained else None
-    _note(progress,
-          f"chosen: {chosen['prefill_fleet']} + {chosen['decode_fleet']}"
-          if chosen is not None
-          else "chosen: none (no validated split met the SLOs)")
+    validated, chosen = _search(
+        candidates, keys=["replicas", f"predicted_ttft_{label}_ms"],
+        cost=cost, measure=measure,
+        name=lambda candidate: (f"{candidate['prefill_fleet']} + "
+                                f"{candidate['decode_fleet']}"),
+        noun="splits", top_k=top_k, jobs=jobs, cache=cache,
+        duration=duration, progress=progress)
 
     colocated_reference = None
     if chosen is not None:
-        _note(progress, f"measuring colocated reference "
-                        f"{chosen['replicas']}x{target}")
-        report = serve_llm(
-            traffic, fleet=f"{chosen['replicas']}x{target}",
-            duration=duration, seed=seed, prompt_tokens=prompt_tokens,
-            output_tokens=output_tokens, prefill_chunk=prefill_chunk,
-            max_batch=max_batch, kv=kv,
-            step_overhead_seconds=step_overhead_seconds,
-            ttft_slo_seconds=ttft_slo_seconds,
-            tpot_slo_seconds=tpot_slo_seconds,
-            percentiles=percentiles, cache=cache)
-        measured = _llm_measurements(report, slo_percentile, label)
-        colocated_reference = {
-            "fleet": f"{chosen['replicas']}x{target}",
-            "slo_attained":
-                measured[f"ttft_{label}_ms"] <= ttft_slo_seconds * 1e3
-                and measured[f"tpot_{label}_ms"] <= tpot_slo_seconds * 1e3,
-            **measured,
-        }
+        fleet = f"{chosen['replicas']}x{target}"
+        _note(progress, f"measuring colocated reference {fleet}")
+        colocated_reference = measure({"fleet": fleet}, cache=cache)
 
     return {
         "config": {

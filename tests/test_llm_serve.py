@@ -235,3 +235,17 @@ class TestLLMPlanning:
         assert chosen["slo_attained"]
         reference = payload["colocated_reference"]
         assert reference["fleet"] == f"{chosen['replicas']}xvitality"
+
+    @pytest.mark.parametrize("flag, names", [
+        ("--models", ["--models", "decoder,encoder"]),
+        ("--targets", ["--models", "decoder", "--targets", "vitality,sanger"]),
+        ("--models", ["--models", "decoder,encoder",
+                      "--targets", "vitality,sanger"]),
+    ])
+    def test_cli_rejects_lists_the_llm_planner_would_drop(self, flag, names,
+                                                         capsys):
+        from repro.cli import main
+
+        assert main(["plan", "--llm", "--rate", "8", "--duration", "1",
+                     "--quiet", *names]) == 2
+        assert flag in capsys.readouterr().err

@@ -30,6 +30,8 @@ from repro.plan import (
     estimate_fleet,
     make_scale_policy,
     plan_capacity,
+    plan_llm_capacity,
+    plan_pipeline_capacity,
 )
 from repro.serve import (
     DiurnalTraffic,
@@ -216,6 +218,29 @@ class TestOptimizer:
         with pytest.raises(KeyError):
             plan_capacity(100.0, ["deit-tiny"], slo_seconds=0.1, duration=1.0,
                           targets=("tpu",))
+
+    @pytest.mark.parametrize("argument, value", [
+        ("slo_percentile", 0.0), ("slo_percentile", 1.0),
+        ("slo_percentile", 1.5), ("margin", 0.0), ("margin", -1.0),
+    ])
+    @pytest.mark.parametrize("planner, kwargs", [
+        (plan_capacity, dict(rate=100.0, models=["deit-tiny"],
+                             slo_seconds=0.1, duration=0.5, max_replicas=2)),
+        (plan_pipeline_capacity, dict(
+            rate=10.0, pipeline="p = encoder[tokens=128] -> deit-tiny",
+            slo_seconds=0.1, duration=0.5, max_replicas_per_stage=1)),
+        (plan_llm_capacity, dict(rate=8.0, model="decoder",
+                                 ttft_slo_seconds=0.2, tpot_slo_seconds=0.01,
+                                 duration=0.5, max_replicas=2)),
+    ], ids=["plan_capacity", "plan_pipeline_capacity", "plan_llm_capacity"])
+    def test_out_of_range_search_arguments_rejected_up_front(
+            self, planner, kwargs, argument, value):
+        """A percentile outside (0, 1) or a non-positive margin is named in
+        the error before any estimate runs, not a math domain error from
+        the queueing model, a "p0" plan or a silently empty search."""
+
+        with pytest.raises(ValueError, match=argument):
+            planner(**kwargs, **{argument: value})
 
 
 class TestAutoscaling:

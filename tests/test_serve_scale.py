@@ -26,7 +26,12 @@ import pytest
 from golden_configs import build_golden_reports
 from repro.engine import CacheStats
 from repro.obs.sketch import ALPHA, MIN_VALUE
-from repro.plan import Autoscaler, plan_capacity
+from repro.plan import (
+    Autoscaler,
+    plan_capacity,
+    plan_llm_capacity,
+    plan_pipeline_capacity,
+)
 from repro.serve import (
     BurstyTraffic,
     DiurnalTraffic,
@@ -214,9 +219,23 @@ class TestAnalyticFirstPlanning:
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="parallel validation needs >= 2 CPUs")
-    def test_jobs_matches_serial_measurements(self):
-        serial = plan_capacity(**self.SCENARIO)
-        parallel = plan_capacity(**self.SCENARIO, jobs=2)
-        for key in ("candidates", "validated", "chosen", "boundary",
-                    "pareto_frontier", "simulated"):
-            assert serial[key] == parallel[key], key
+    @pytest.mark.parametrize("planner, kwargs", [
+        (plan_capacity, SCENARIO),
+        (plan_pipeline_capacity, dict(
+            rate=120.0, pipeline="plan2 = encoder[tokens=128] -> deit-tiny",
+            slo_seconds=0.02, slo_percentile=0.95, duration=1.0,
+            targets="vitality", max_replicas_per_stage=2, top_k=3,
+            policy="fifo", seed=0)),
+        (plan_llm_capacity, dict(rate=8.0, model="decoder",
+                                 ttft_slo_seconds=0.2, tpot_slo_seconds=0.01,
+                                 duration=1.0, max_replicas=3, top_k=2)),
+    ], ids=["plan_capacity", "plan_pipeline_capacity", "plan_llm_capacity"])
+    def test_jobs_matches_serial_measurements(self, planner, kwargs):
+        """Every planner validates through the shared driver's process pool;
+        the payload is the serial one except the parent's cache accounting."""
+
+        serial = planner(**kwargs)
+        parallel = planner(**kwargs, jobs=2)
+        assert serial["simulated"] > 1     # the pool really fanned out
+        del serial["cache"], parallel["cache"]
+        assert serial == parallel
