@@ -5,11 +5,21 @@ pairs — Fig. 11 and Fig. 12 alone share every one of their runs.  Because a
 ``RunSpec`` is frozen and hashable and a ``RunResult`` is immutable, results
 can be memoised safely: the first simulation of a spec pays the cost, every
 later request is a dictionary lookup.
+
+Resolving a spec to its target and canonical cache key (knob parsing,
+workload-name canonicalisation) is memoised too, per process and per raw
+``RunSpec``, in a fixed-size LRU of 1024 entries: the serving and planning
+loops ask for the same few specs thousands of times.  Only
+:func:`~repro.engine.register_target` with ``replace=True`` clears that
+memo; :func:`clear_cache` drops results, not resolutions.  Every lookup
+still goes through :meth:`ResultCache.get_or_run`, so hit and miss counters
+are the same with or without the memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from repro.engine.results import RunResult
@@ -112,8 +122,9 @@ class ResultCache:
 DEFAULT_CACHE = ResultCache()
 
 
+@lru_cache(maxsize=1024)
 def _resolve(spec: RunSpec):
-    """(target, canonical spec) for one run request.
+    """(target, canonical spec) for one run request, memoised per raw spec.
 
     Three canonicalisations keep physically identical runs on one cache
     entry: the target's name is normalised (configured names —
@@ -123,6 +134,10 @@ def _resolve(spec: RunSpec):
     (``("deit-tiny", tokens=512)`` keys as ``"deit-tiny[tokens=512]"``), and
     the target collapses spec options that are no-ops for it (e.g. a
     ``scale_to_peak`` at or below ViTALiTy's native peak).
+
+    The memo is a 1024-entry LRU that only ``register_target(...,
+    replace=True)`` clears; a spec that fails to resolve raises on every
+    call, since errors are never memoised.
     """
 
     from dataclasses import replace
@@ -157,6 +172,11 @@ def simulate(spec: RunSpec | str, *, cache: ResultCache | None = None,
 
         simulate(RunSpec("deit-tiny", target="sanger"))
         simulate("deit-tiny", target="sanger")
+
+    The spec's resolution to a target and canonical cache key is memoised
+    per process (:func:`_resolve`, an LRU of 1024 raw specs cleared only by
+    ``register_target(..., replace=True)``); the result lookup always goes
+    through ``cache``, so its counters see every call.
     """
 
     if isinstance(spec, str):

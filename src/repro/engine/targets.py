@@ -459,17 +459,19 @@ _CONFIGURED: dict[str, Target] = {}
 def register_target(target: Target, replace: bool = False) -> Target:
     """Register a target under its ``name`` (``replace=True`` to override).
 
-    Replacing a target evicts its memoised results from the default cache —
-    and drops every configured instance derived from it — so the new backend
-    cannot be shadowed by its predecessor's numbers.  (Privately held
-    :class:`~repro.engine.ResultCache` instances must be invalidated by
+    Replacing a target evicts its memoised results from the default cache,
+    drops every configured instance derived from it and clears the engine's
+    per-process spec-resolution memo (the only thing that clears it), so the
+    new backend cannot be shadowed by its predecessor's numbers.  (Privately
+    held :class:`~repro.engine.ResultCache` instances must be invalidated by
     their owners.)
     """
 
     if target.name in _TARGETS:
         if not replace:
             raise ValueError(f"target {target.name!r} is already registered")
-        from repro.engine.cache import DEFAULT_CACHE
+        from repro.engine.cache import DEFAULT_CACHE, _resolve
+        _resolve.cache_clear()
         DEFAULT_CACHE.invalidate_target(target.name)
         derived = [name for name in _CONFIGURED
                    if name.partition("[")[0] == target.name]

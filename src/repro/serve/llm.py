@@ -52,6 +52,7 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from repro.engine import ResultCache, RunSpec, simulate, target_sram_kb
@@ -271,13 +272,19 @@ class LLMReplica:
         return tokens
 
 
+@lru_cache(maxsize=1024)
 def _configured(model: str, **overrides) -> str:
-    """Merge knob overrides into a configured workload name (text level)."""
+    """Merge knob overrides into a configured workload name (text level).
+
+    Memoised per (model, overrides) in a 1024-entry LRU: the serving loop
+    and the LLM queueing estimate render one name per step from a handful
+    of distinct shapes.  Empty knob parts (``decoder[]``) are skipped.
+    """
 
     base, _, bracket = model.partition("[")
     knobs: dict[str, str] = {}
-    if bracket:
-        for part in bracket[:-1].split(","):
+    for part in bracket[:-1].split(","):
+        if part.strip():
             key, _, value = part.partition("=")
             knobs[key.strip()] = value.strip()
     for key, value in overrides.items():

@@ -8,6 +8,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     DiskResultCache,
@@ -26,18 +27,56 @@ from repro.experiments.dse_exps import explore_design_space, pareto_frontier
 from repro.hardware import (
     HardwareConfig,
     KnobError,
+    PLATFORM_SCHEMA,
     SALO_SCHEMA,
     SANGER_SCHEMA,
     VITALITY_SCHEMA,
     ViTALiTyAcceleratorConfig,
     build_vitality_config,
 )
+from repro.hardware.core.families import parse_dram_gbps
+from repro.knobs import (
+    parse_fraction,
+    parse_frequency,
+    parse_geometry,
+    parse_non_negative_int,
+    parse_positive_float,
+    parse_positive_int,
+)
 from repro.serve import Fleet
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "seed_hardware_golden.json"
 
 
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e6)
+#: Raw knob-value text by parser: every value each parser accepts is drawable.
+_KNOB_TEXT = {
+    parse_geometry: st.builds("{}x{}".format, st.integers(1, 512), st.integers(1, 512)),
+    parse_frequency: st.one_of(st.integers(1, 4000).map("{}mhz".format),
+                               st.integers(1, 4).map("{}ghz".format),
+                               st.floats(min_value=1.0, max_value=5e9).map(repr)),
+    parse_positive_int: st.integers(1, 1 << 16).map(str),
+    parse_non_negative_int: st.integers(0, 1 << 16).map(str),
+    parse_positive_float: _POSITIVE.map(repr),
+    parse_fraction: st.floats(min_value=1e-6, max_value=1.0).map(repr),
+    parse_dram_gbps: st.one_of(st.just("inf"), _POSITIVE.map(repr)),
+}
+
+
 class TestKnobParsing:
+    @pytest.mark.parametrize("schema", [VITALITY_SCHEMA, SANGER_SCHEMA,
+                                        SALO_SCHEMA, PLATFORM_SCHEMA],
+                             ids=lambda schema: schema.family)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_render_then_parse_is_identity(self, schema, data):
+        names = data.draw(st.lists(st.sampled_from(sorted(schema.knobs)),
+                                   unique=True))
+        text = ",".join(f"{name}={data.draw(_KNOB_TEXT[schema.knobs[name].parse])}"
+                        for name in names)
+        config = schema.parse(text)
+        assert schema.parse(schema.render(config)) == config
+
     @pytest.mark.parametrize("text", [
         "pe=32x32,freq=1ghz",
         "freq=433mhz",

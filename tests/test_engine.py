@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     ResultCache,
@@ -12,15 +13,21 @@ from repro.engine import (
     Sweep,
     UnknownTargetError,
     VitalityTarget,
+    canonicalise_spec,
     get_target,
     list_targets,
     scale_workload_tokens,
     simulate,
     sweep,
 )
+from repro.engine.cache import _resolve
 from repro.hardware import (
+    KnobError,
+    SALO_SCHEMA,
+    SANGER_SCHEMA,
     SangerAccelerator,
     StepResult,
+    VITALITY_SCHEMA,
     ViTALiTyAccelerator,
     get_platform,
     pipeline_latency,
@@ -167,9 +174,11 @@ class TestTargetRegistry:
 
         original = get_target("salo")
         spec = RunSpec("deit-tiny", target="salo")
+        configured = RunSpec("deit-tiny", target="salo[window=16]")
         try:
             stale = simulate(spec)
             assert spec in DEFAULT_CACHE
+            simulate(configured)            # resolved and memoised pre-replacement
 
             class Doubled:
                 name = "salo"
@@ -184,6 +193,10 @@ class TestTargetRegistry:
             assert spec not in DEFAULT_CACHE
             fresh = simulate(spec)
             assert fresh.attention_latency == 2 * stale.attention_latency
+            # The replacement has no knob schema, so a memo that outlived the
+            # replacement would keep serving the old design point here.
+            with pytest.raises(UnknownTargetError):
+                simulate(configured)
         finally:
             register_target(original, replace=True)
 
@@ -335,6 +348,90 @@ class TestResultCache:
         assert result.target == "salo"
         with pytest.raises(TypeError):
             simulate(RunSpec("deit-tiny"), target="salo", cache=cache)
+
+
+#: Non-reference spellings per target knob; each knob's reference value is
+#: added from its schema, so reference-valued knobs are drawn too.
+_KNOB_SPELLINGS = {"pe": ["16x16", "32x32"], "freq": ["250mhz", "1ghz"],
+                   "sram_kb": ["128"], "util": ["0.5"], "window": ["16"],
+                   "global": ["0"], "density": ["0.25"]}
+_SCHEMAS = {schema.family: schema
+            for schema in (VITALITY_SCHEMA, SALO_SCHEMA, SANGER_SCHEMA)}
+
+
+@st.composite
+def _spellings(draw):
+    """Two spellings of one run: knobs in drawn vs sorted order, and the
+    token count as the ``tokens=`` field vs a ``[tokens=N]`` knob."""
+
+    family = draw(st.sampled_from(sorted(_SCHEMAS)))
+    schema = _SCHEMAS[family]
+    names = draw(st.lists(st.sampled_from(
+        [name for name in _KNOB_SPELLINGS if name in schema.knobs]), unique=True))
+    parts = []
+    for name in names:
+        knob = schema.knobs[name]
+        choices = _KNOB_SPELLINGS[name] + [knob.render(knob.default)]
+        parts.append(f"{name}={draw(st.sampled_from(choices))}")
+    model = draw(st.sampled_from(["deit-tiny", "levit-128", "decoder"]))
+    tokens = draw(st.one_of(st.none(), st.just(197), st.integers(16, 512)))
+    options = dict(include_linear=draw(st.booleans()),
+                   scale_to_peak=draw(st.sampled_from([None, 1e12, 1e15])))
+    drawn = RunSpec(model, target=f"{family}[{','.join(parts)}]",
+                    tokens=tokens, **options)
+    spelled = RunSpec(model if tokens is None else f"{model}[tokens={tokens}]",
+                      target=f"{family}[{','.join(sorted(parts))}]", **options)
+    return drawn, spelled
+
+
+_IDENTIFIERS = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+_ALL_KNOBS = {name for family in ("vitality", "salo", "sanger", "gpu")
+              for name in get_target(family).knob_schema.knobs}
+
+
+@st.composite
+def _bad_specs(draw):
+    """Run specs whose target or model name cannot resolve."""
+
+    family = draw(st.sampled_from(["vitality", "salo", "sanger", "gpu"]))
+    word = draw(_IDENTIFIERS)
+    unknown_knob = draw(_IDENTIFIERS.filter(lambda name: name not in _ALL_KNOBS))
+    bad_target = draw(st.sampled_from([
+        word if word not in list_targets() else f"{word}-x",   # unknown base
+        f"{word}-x[pe=32x32]",                                   # unknown base
+        f"{family}[{unknown_knob}=1]",                           # unknown knob
+        f"{family}[{word}]",                                     # no '='
+        f"{family}[pe={word}]",                                  # bad value
+        f"{family}[util=0.5,util=0.5]",                          # duplicate
+    ]))
+    bad_model = draw(st.sampled_from([
+        f"deit-tiny[{unknown_knob}=1]", f"deit-tiny[tokens={word}]",
+        f"decoder[{word}]"]))
+    return draw(st.sampled_from([RunSpec("deit-tiny", target=bad_target),
+                                 RunSpec(bad_model, target=family)]))
+
+
+class TestResolutionMemo:
+    """``simulate`` memoises spec resolution; the memo must be invisible."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(spellings=_spellings())
+    def test_warm_memo_matches_cold_resolution(self, spellings):
+        drawn, spelled = spellings
+        cold_target, cold = _resolve.__wrapped__(drawn)
+        _resolve(drawn)                                  # warm the memo
+        assert canonicalise_spec(drawn) == cold
+        assert _resolve(drawn)[0] is cold_target
+        assert canonicalise_spec(spelled) == cold        # one key per run
+
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_bad_specs())
+    def test_bad_names_raise_on_every_call(self, spec):
+        memoised = _resolve.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises((KnobError, UnknownTargetError)):
+                simulate(spec, cache=ResultCache())
+        assert _resolve.cache_info().currsize == memoised
 
 
 class TestSweep:

@@ -236,6 +236,22 @@ class TestLLMPlanning:
         reference = payload["colocated_reference"]
         assert reference["fleet"] == f"{chosen['replicas']}xvitality"
 
+    def test_empty_knob_bracket_serves_and_plans_like_the_bare_name(self):
+        """``decoder[]`` is the reference decoder, not a knob named ``=``."""
+
+        models = ("decoder", "decoder[]")
+        served = [serve_llm(_traffic(mix=WorkloadMix.of([model])),
+                            fleet="1xvitality", duration=1.0, seed=0).to_json()
+                  for model in models]
+        plans = [json.dumps(plan_llm_capacity(
+                     8.0, model, ttft_slo_seconds=0.2, tpot_slo_seconds=0.01,
+                     duration=1.0, max_replicas=3, top_k=1))
+                 for model in models]
+        # Only the echoed model name may differ.
+        for bare, bracketed in (served, plans):
+            assert "decoder[]" in bracketed
+            assert bracketed.replace("decoder[]", "decoder") == bare
+
     @pytest.mark.parametrize("flag, names", [
         ("--models", ["--models", "decoder,encoder"]),
         ("--targets", ["--models", "decoder", "--targets", "vitality,sanger"]),
