@@ -9,7 +9,10 @@ must all reproduce that event order and those report bytes exactly.  The
 ``serve_pipeline`` entries (a heterogeneous arrow chain with windows and a
 stage SLO, an autoscaled cascade) and the ``-streaming`` twins pin both
 summary modes of the classic and pipeline loops, including streaming
-quantile estimates, autoscaler events and per-stage accounting.
+quantile estimates, autoscaler events and per-stage accounting.  The LLM
+entries cover continuous and disaggregated serving in both summary modes,
+monolithic gangs whose early finishers pad the batch, and chunked prefill
+under a KV capacity tight enough that admission blocks.
 
 Regenerate (only when a report-shape change is intended and documented)::
 
@@ -24,6 +27,7 @@ from repro.serve import (
     DiurnalTraffic,
     PipelineSpec,
     PoissonTraffic,
+    KVCacheConfig,
     ReplayTraffic,
     TokenProfile,
     WorkloadMix,
@@ -69,6 +73,21 @@ def _pipeline_cascade_autoscale(summary: str) -> str:
         summary=summary).to_json()
 
 
+def _llm_continuous(summary: str) -> str:
+    return serve_llm(
+        PoissonTraffic(30.0, WorkloadMix.of(
+            ["decoder"], tokens=TokenProfile.of("64:256", "16:64"))),
+        "2xvitality", scheduler="continuous", duration=2.0, seed=5,
+        summary=summary).to_json()
+
+
+def _llm_disagg(summary: str) -> str:
+    return serve_llm(
+        PoissonTraffic(20.0, WorkloadMix.of(["decoder"])),
+        prefill_fleet="1xvitality", decode_fleet="1xvitality",
+        duration=2.0, seed=9, summary=summary).to_json()
+
+
 def build_golden_reports() -> dict[str, str]:
     reports: dict[str, str] = {}
     reports["poisson-hetero-timeout"] = serve(
@@ -85,15 +104,18 @@ def build_golden_reports() -> dict[str, str]:
                        (0.02, "deit-tiny"), (0.5, "deit-tiny"),
                        (0.95, "levit-128"))), "1xvitality",
         policy="fifo", duration=1.0, seed=0).to_json()
-    reports["llm-continuous"] = serve_llm(
+    reports["llm-monolithic"] = serve_llm(
+        PoissonTraffic(120.0, WorkloadMix.of(
+            ["decoder"], tokens=TokenProfile.of("32:128", "1:48"))),
+        "2xvitality", scheduler="monolithic", duration=2.0, seed=17).to_json()
+    reports["llm-chunked-kv"] = serve_llm(
         PoissonTraffic(30.0, WorkloadMix.of(
-            ["decoder"], tokens=TokenProfile.of("64:256", "16:64"))),
-        "2xvitality", scheduler="continuous", duration=2.0, seed=5).to_json()
-    reports["llm-disagg"] = serve_llm(
-        PoissonTraffic(20.0, WorkloadMix.of(["decoder"])),
-        prefill_fleet="1xvitality", decode_fleet="1xvitality",
-        duration=2.0, seed=9).to_json()
+            ["decoder"], tokens=TokenProfile.of("96:320", "1:48"))),
+        "2xvitality", prefill_chunk=64, kv=KVCacheConfig(capacity_tokens=768),
+        duration=2.0, seed=19).to_json()
     for summary, suffix in (("exact", ""), ("streaming", "-streaming")):
+        reports[f"llm-continuous{suffix}"] = _llm_continuous(summary)
+        reports[f"llm-disagg{suffix}"] = _llm_disagg(summary)
         reports[f"pipeline-chain-hetero{suffix}"] = _pipeline_chain(summary)
         reports[f"pipeline-cascade-autoscale{suffix}"] = \
             _pipeline_cascade_autoscale(summary)

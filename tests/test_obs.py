@@ -390,6 +390,12 @@ def traced_pipeline_run() -> Observability:
     return obs
 
 
+def traced_llm_run(**kwargs) -> Observability:
+    obs = Observability(trace=TraceRecorder(), metrics=MetricsCollector())
+    llm_run(obs=obs, **kwargs)
+    return obs
+
+
 #: sha256 of (Chrome trace JSON, Prometheus text) per traced run.  Pins the
 #: hook stream byte for byte — span order, args, counters, scale instants
 #: and metric windows — so a refactor of the event loops or of the hook
@@ -401,12 +407,26 @@ EXPORT_DIGESTS = {
     "pipeline": (
         "ee85092dbfd3e745e3719ddb5c040db0a844e6903bed10434d040bb7b277570b",
         "ca556df2bce1b5677b6eed6dce3d50edfefa014fd6fc22f20fb52247a63973ef"),
+    "llm": (
+        "2c568ce925c0cad7ed676ded820d7ff85f83deb1e68ef99e495ef352b96a5875",
+        "bd77903dce921a94c2731d5bfabc1836d50d88b1c8af4d804c7fe790e0f4f264"),
+    "llm-disagg": (
+        "77714142c89ea03c14cd87a26f670af737986803070119968e3e16395c72e4be",
+        "910e25e558e1583ea27ed7e1a0a23f78d8320022f637a8644a2ae37e713bf30e"),
+}
+
+TRACED_RUNS = {
+    "classic": traced_classic_run,
+    "pipeline": traced_pipeline_run,
+    "llm": traced_llm_run,
+    "llm-disagg": lambda: traced_llm_run(
+        fleet=None, prefill_fleet="1xvitality", decode_fleet="1xvitality"),
 }
 
 
-@pytest.mark.parametrize("run", ["classic", "pipeline"])
+@pytest.mark.parametrize("run", sorted(EXPORT_DIGESTS))
 def test_export_bytes_pinned(run):
-    obs = {"classic": traced_classic_run, "pipeline": traced_pipeline_run}[run]()
+    obs = TRACED_RUNS[run]()
     digests = tuple(hashlib.sha256(text.encode()).hexdigest()
                     for text in (chrome_trace_json(obs.trace),
                                  prometheus_text(obs.metrics)))
