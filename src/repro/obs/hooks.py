@@ -3,25 +3,28 @@
 :class:`Observability` bundles an optional :class:`TraceRecorder`, an
 optional :class:`MetricsCollector` and an optional :class:`Progress` and
 translates simulator lifecycle hooks into trace spans, streaming samples
-and progress ticks.  Its callers — the serving kernel behind ``serve`` and
-``serve_pipeline``, ``serve_llm`` and the autoscaler — accept ``obs=None``
-and guard every hook with ``if obs is not None``, so the disabled path
-costs one check per hook site; the hooks themselves never mutate simulator
-state, so an instrumented run produces a bit-identical :class:`ServeReport`.
+and progress ticks.  Its callers — the serving kernel and its pools behind
+``serve``, ``serve_pipeline`` and ``serve_llm``, and the autoscaler —
+accept ``obs=None`` and guard every hook with ``if obs is not None``, so
+the disabled path costs one check per hook site; the hooks themselves
+never mutate simulator state, so an instrumented run produces a
+bit-identical :class:`ServeReport`.
 
 The hooks, by caller:
 
 * run lifecycle — :meth:`~Observability.begin_run`,
   :meth:`~Observability.end_run`, :meth:`~Observability.event_tick`;
-* the serving kernel (classic and pipeline alike) —
+* batch pools (classic and pipeline alike) —
   :meth:`~Observability.request_routed` (``entry=False`` for a pipeline hop),
   :meth:`~Observability.batch_dispatched` (``stage`` set on pipeline pools),
-  :meth:`~Observability.stage_handoff` between pipeline stages and
-  :meth:`~Observability.request_finished` once per completed request;
+  :meth:`~Observability.stage_handoff` between pipeline stages and, through
+  the kernel's fold, :meth:`~Observability.request_finished` once per
+  completed request;
 * fleets and autoscalers — :meth:`~Observability.replica_retired`,
   :meth:`~Observability.scale_event`;
-* ``serve_llm`` — ``request_routed`` plus the prefill/decode/KV hooks
-  (``prefill_admitted`` … ``request_completed``).
+* LLM pools (``serve_llm``) — ``request_routed`` plus the prefill/decode/KV
+  hooks (``prefill_admitted`` … ``request_completed``, which stands in for
+  ``request_finished``).
 
 Span accounting contract (the tests pin it): each request's phase spans
 partition ``[arrival, completion]`` — ``queue`` + ``service`` for classic

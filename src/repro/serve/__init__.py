@@ -12,8 +12,8 @@ request under load.  The pieces:
   ``RunSpec`` dispatches;
 * :mod:`cluster` — heterogeneous fleets of engine targets with least-loaded
   and energy-aware routing;
-* :mod:`simulator` — the deterministic event kernel classic and
-  pipeline serving share, :func:`serve` and :func:`compare`;
+* :mod:`simulator` — the deterministic event kernel all three entry
+  points share, :func:`serve` and :func:`compare`;
 * :mod:`llm` — autoregressive serving: continuous (iteration-level) batching
   vs monolithic gangs, chunked prefill, KV-cache admission and
   prefill/decode-disaggregated fleets via :func:`serve_llm`;

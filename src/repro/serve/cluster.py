@@ -170,15 +170,10 @@ class Fleet:
         self.stage = stage
         self._ordinals: dict[str, int] = {}
         self._active_cache: tuple[Replica, ...] | None = None
-        replicas = []
-        for index, spec in enumerate(self.replica_specs):
-            ordinal = self._ordinals.get(spec.label, 0)
-            self._ordinals[spec.label] = ordinal + 1
-            replica = Replica(index_base + index, ordinal, spec, stage=stage)
-            replica._fleet = self
-            replicas.append(replica)
-        self.replicas = tuple(replicas)
-        self._static_count = len(replicas)
+        self.replicas: tuple[Replica, ...] = ()
+        for spec in self.replica_specs:
+            self.add_replica(spec, 0.0)
+        self._static_count = len(self.replicas)
 
     @classmethod
     def parse(cls, text: str, *, index_base: int = 0,

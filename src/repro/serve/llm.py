@@ -38,41 +38,32 @@ the cost of the handoff latency and a statically split fleet.
 TTFT (time-to-first-token: arrival to prefill completion) and TPOT
 (time-per-output-token over the decode phase) are threaded through
 :class:`~repro.serve.metrics.ServeReport` as additive ``ttft`` / ``tpot``
-latency summaries plus an ``llm`` token-accounting block.  Determinism
-matches the classic simulator: one event heap with a monotone tie-break and
-every random draw inside the traffic pattern, so a fixed (traffic, fleets,
-scheduler, duration, seed) tuple maps to one bit-exact report.
+latency summaries plus an ``llm`` token-accounting block.
+
+:func:`serve_llm` adds no event loop of its own: it runs on the shared
+:class:`~repro.serve.simulator.Kernel`, with replica state and scheduling
+expressed as :class:`LLMPool` behaviour — a colocated fleet is one pool, a
+disaggregated deployment a prefill pool whose KV handoffs hop into a decode
+pool.  Determinism is the kernel's, so a fixed (traffic, fleets, scheduler,
+duration, seed) tuple maps to one bit-exact report.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Sequence
 
 from repro.engine import ResultCache, RunSpec, simulate, target_sram_kb
-from repro.serve.cluster import Fleet, ReplicaSpec
-from repro.serve.metrics import (
-    DEFAULT_PERCENTILES,
-    ReportAccumulator,
-    RequestRecord,
-    ServeReport,
-    build_report,
-)
-from repro.serve.simulator import (
-    DEFAULT_CACHE_ENTRIES,
-    RUNTIME_SEQUENCE_BASE,
-    check_args,
-)
-from repro.serve.traffic import Request, TrafficPattern
-from repro.serve.traffic import iter_arrivals as _iter_arrivals
-from repro.serve.traffic import traffic_models
-from repro.workloads import get_family
+from repro.serve.cluster import Fleet, Replica, ReplicaSpec
+from repro.serve.metrics import DEFAULT_PERCENTILES, ServeReport
+from repro.serve.simulator import Kernel, Pool, check_args
+from repro.serve.traffic import Request, TrafficPattern, traffic_models
+from repro.workloads import get_family, get_workload
 
 logger = logging.getLogger(__name__)
 
@@ -160,18 +151,16 @@ class KVCacheConfig:
         return max(1, int(sram_kb * 1024 * self.dram_ratio // bytes_per_token))
 
     def to_dict(self) -> dict[str, object]:
-        return {"capacity_tokens": self.capacity_tokens,
-                "bytes_per_value": self.bytes_per_value,
-                "dram_ratio": self.dram_ratio,
-                "platform_sram_kb": self.platform_sram_kb}
+        return asdict(self)
 
 
 class LLMRequest:
     """Mutable in-flight state of one autoregressive request."""
 
     __slots__ = ("index", "model", "arrival", "prompt_tokens", "output_tokens",
-                 "prefilled", "decoded", "prefill_start", "first_token_time",
-                 "completion", "decode_batch")
+                 "decode_target", "reserved_tokens", "prefilled", "decoded",
+                 "prefill_start", "first_token_time", "completion",
+                 "decode_batch")
 
     def __init__(self, request: Request, prompt_tokens: int, output_tokens: int):
         if prompt_tokens < 1 or output_tokens < 1:
@@ -183,6 +172,10 @@ class LLMRequest:
         self.arrival = request.arrival
         self.prompt_tokens = prompt_tokens
         self.output_tokens = output_tokens
+        # Decode steps still owed after prefill emits the first token, and
+        # the KV tokens a reservation-based admission holds.
+        self.decode_target = output_tokens - 1
+        self.reserved_tokens = prompt_tokens + output_tokens
         self.prefilled = 0                      # prompt tokens cached so far
         self.decoded = 0                        # tokens generated after the first
         self.prefill_start: float | None = None
@@ -190,57 +183,28 @@ class LLMRequest:
         self.completion: float | None = None
         self.decode_batch = 1                   # batch size when decode admitted
 
-    @property
-    def decode_target(self) -> int:
-        """Decode steps still owed after prefill emits the first token."""
 
-        return self.output_tokens - 1
-
-    @property
-    def reserved_tokens(self) -> int:
-        """KV tokens a reservation-based admission holds for this request."""
-
-        return self.prompt_tokens + self.output_tokens
-
-
-class LLMReplica:
-    """One LLM-serving instance: an engine target with KV-cache accounting.
-
-    Duck-types the attributes :func:`~repro.serve.metrics.build_report`
-    reads (name/spec/served/batches/busy_seconds/energy_joules/lifetimes)
-    plus the LLM extras (role, KV capacity/peak, decode steps).
-    """
+class LLMReplica(Replica):
+    """One LLM-serving instance: a :class:`~repro.serve.cluster.Replica`
+    with KV-cache accounting, phase queues and the LLM report extras (role,
+    KV capacity/peak, decode steps).  Non-unified roles prefix the name."""
 
     def __init__(self, index: int, ordinal: int, spec: ReplicaSpec, role: str,
                  kv_capacity: int):
-        self.index = index
-        self.spec = spec
+        super().__init__(index, ordinal, spec)
         self.role = role
-        prefix = "" if role == ROLE_UNIFIED else f"{role}/"
-        self.name = f"{prefix}{spec.label}#{ordinal}"
-        self.started_at = 0.0
-        self.retired_at: float | None = None
+        if role != ROLE_UNIFIED:
+            self.name = f"{role}/{self.name}"
         self.kv_capacity = kv_capacity
         self.kv_used = 0
         self.kv_peak = 0
-        self.busy_until = 0.0
-        self.busy_seconds = 0.0
-        self.energy_joules = 0.0
-        self.batches = 0                        # engine dispatches (chunks + steps)
         self.decode_steps = 0
-        self.served = 0
         self.prefill_queue: deque[LLMRequest] = deque()
         self.current_prefill: LLMRequest | None = None
         self.decode_ready: list[LLMRequest] = []   # KV-admitted, awaiting a slot
         self.batch: list[LLMRequest] = []          # running decode batch
         self.gang: list[LLMRequest] = []           # monolithic request-level gang
         self.gang_steps_left = 0
-
-    def idle(self, now: float) -> bool:
-        return self.busy_until <= now
-
-    def lifetime_seconds(self, makespan: float) -> float:
-        return makespan
 
     @property
     def kv_free(self) -> int:
@@ -249,9 +213,6 @@ class LLMReplica:
     def reserve(self, tokens: int) -> None:
         self.kv_used += tokens
         self.kv_peak = max(self.kv_peak, self.kv_used)
-
-    def release(self, tokens: int) -> None:
-        self.kv_used -= tokens
 
     @property
     def slots_used(self) -> int:
@@ -309,6 +270,283 @@ def _bucket(kv_tokens: int, granularity: int) -> int:
     return max(granularity, math.ceil(kv_tokens / granularity) * granularity)
 
 
+class LLMPool(Pool):
+    """LLM replicas of one role as a :class:`~repro.serve.simulator.Kernel`
+    pool: their routing, dispatch and completion effects.
+
+    ``role`` is :data:`ROLE_UNIFIED` (colocated: both phases on every
+    replica), :data:`ROLE_PREFILL` (hands each prompt's KV to the ``decode``
+    pool as a kernel ``"hop"`` after ``handoff_seconds``) or
+    :data:`ROLE_DECODE` (admits hopped requests strict-FIFO from
+    ``pending``).  Arrivals pass ``accept`` (token defaults plus the KV
+    feasibility check) and route among the replicas whose KV capacity covers
+    their prefill admission, to the least pending load.
+
+    Each replica runs one engine call at a time — a prefill chunk, a
+    continuous decode step or a monolithic gang step — scheduled as a
+    ``"free"`` event whose payload ``(replica, work, chunk)`` snapshots the
+    call, so its completion effects (``prefilled``/``decoded``, KV release,
+    gang retirement) apply when it fires, never at dispatch.
+    """
+
+    __slots__ = ("replicas", "role", "monolithic", "accept", "decode",
+                 "pending", "handoff_seconds", "prefill_chunk", "max_batch",
+                 "step_overhead_seconds", "kv_bucket", "cache", "obs",
+                 "finish", "schedule", "prefill_tokens", "generated_tokens")
+
+    def __init__(self, replicas: list[LLMReplica], role: str, kernel: Kernel,
+                 *, scheduler: str, prefill_chunk: int, max_batch: int,
+                 step_overhead_seconds: float, kv_bucket: int, accept=None,
+                 decode: "LLMPool | None" = None,
+                 handoff_seconds: float = 0.0):
+        self.replicas = replicas
+        self.role = role
+        self.monolithic = scheduler == "monolithic"
+        self.accept = accept
+        self.decode = decode
+        self.pending: deque[LLMRequest] = deque()
+        self.handoff_seconds = handoff_seconds
+        self.prefill_chunk = prefill_chunk
+        self.max_batch = max_batch
+        self.step_overhead_seconds = step_overhead_seconds
+        self.kv_bucket = kv_bucket
+        # The kernel's closures, not the kernel: no pool/kernel cycle.
+        self.cache = kernel.cache
+        self.obs = kernel.obs
+        self.finish = kernel.finish
+        self.schedule = kernel.schedule
+        self.prefill_tokens = 0
+        self.generated_tokens = 0
+
+    def enqueue(self, kernel, request, now: float, entry: bool) -> None:
+        if not entry:                    # KV handed off by the prefill pool
+            self.pending.append(request)
+            self._admit_pending(kernel, now)
+            return
+        request = self.accept(request)
+        prefill = self.role == ROLE_PREFILL
+        need = request.prompt_tokens if prefill else request.reserved_tokens
+        replica = min((r for r in self.replicas if r.kv_capacity >= need),
+                      key=attrgetter("pending_prefill_tokens" if prefill
+                                     else "pending_load", "index"))
+        replica.prefill_queue.append(request)
+        if self.obs is not None:
+            self.obs.request_routed(request, replica, now,
+                                    len(replica.prefill_queue))
+        self.dispatch(kernel, replica, now)
+
+    def dispatch(self, kernel, replica: LLMReplica, now: float) -> None:
+        if not replica.idle(now):
+            return
+        if self.monolithic:
+            self._dispatch_gang(replica, now)
+            return
+        if replica.decode_ready:
+            # Fold KV-admitted requests into the running batch (same model
+            # only — a decode step lowers to one engine shape).
+            batch, kept = replica.batch, []
+            model = (batch[0] if batch else replica.decode_ready[0]).model
+            for request in replica.decode_ready:
+                if len(batch) < self.max_batch and request.model == model:
+                    request.decode_batch = len(batch) + 1
+                    batch.append(request)
+                    if self.obs is not None:
+                        self.obs.decode_joined(request, replica, now)
+                else:
+                    kept.append(request)
+            replica.decode_ready = kept
+        if self.role != ROLE_DECODE:
+            if replica.current_prefill is None and replica.prefill_queue:
+                head = replica.prefill_queue[0]
+                need = (head.prompt_tokens if self.role == ROLE_PREFILL
+                        else head.reserved_tokens)
+                if need <= replica.kv_free:
+                    replica.current_prefill = self._admit(replica, need, now)
+            # Prefill-priority: new prompts preempt the decode batch at the
+            # iteration boundary — colocated TPOT pays for it, which is the
+            # interference disaggregation exists to remove.
+            if replica.current_prefill is not None:
+                self._launch(replica, now)
+                return
+        if replica.batch:
+            self._launch(replica, now, tuple(replica.batch))
+
+    def free(self, kernel, payload, now: float) -> None:
+        replica, work, chunk = payload
+        if chunk:                                    # a prefill chunk
+            work.prefilled += chunk
+            self.prefill_tokens += chunk
+            if work.prefilled >= work.prompt_tokens:
+                self._first_token(replica, work, now)
+        elif self.monolithic:                        # a gang step
+            replica.gang_steps_left -= 1
+            for member in work:
+                if member.decoded < member.decode_target:
+                    member.decoded += 1
+                    self.generated_tokens += 1
+                    if member.decoded == member.decode_target:
+                        member.completion = now
+            if replica.gang_steps_left == 0:
+                self._retire_gang(replica)
+        else:                                        # a decode step
+            self.generated_tokens += len(work)
+            for request in work:
+                request.decoded += 1
+                if request.decoded >= request.decode_target:
+                    replica.batch.remove(request)
+                    replica.kv_used -= request.reserved_tokens
+                    self._complete(request, replica, now, request.decode_batch)
+            if self.role == ROLE_DECODE:
+                self._admit_pending(kernel, now)
+        self.dispatch(kernel, replica, now)
+
+    def _admit(self, replica: LLMReplica, need: int, now: float) -> LLMRequest:
+        """Reserve ``need`` KV tokens for the prefill queue's head and start
+        its prefill phase."""
+
+        request = replica.prefill_queue.popleft()
+        replica.reserve(need)
+        request.prefill_start = now
+        if self.obs is not None:
+            self.obs.prefill_admitted(request, replica, now)
+        return request
+
+    def _launch(self, replica: LLMReplica, now: float,
+                members: tuple[LLMRequest, ...] | None = None) -> None:
+        """Start one engine call: a chunk of ``replica.current_prefill``'s
+        prompt, or (given ``members``) one decode step over them."""
+
+        if members is None:
+            work = replica.current_prefill
+            chunk = min(self.prefill_chunk, work.prompt_tokens - work.prefilled)
+            name = _configured(work.model, tokens=chunk,
+                               kv_tokens=work.prefilled + chunk, phase="prefill")
+            size = 1
+        else:
+            work, chunk, size = members, 0, len(members)
+            kv_tokens = max(member.prompt_tokens + member.decoded
+                            for member in members)
+            name = _configured(members[0].model, tokens=1,
+                               kv_tokens=_bucket(kv_tokens, self.kv_bucket),
+                               phase="decode")
+            replica.decode_steps += 1
+        spec = replica.spec
+        result = simulate(RunSpec(name, target=spec.target,
+                                  attention=spec.attention, batch_size=size),
+                          cache=self.cache)
+        service = self.step_overhead_seconds + result.end_to_end_latency
+        finish = now + service
+        replica.busy_until = finish
+        replica.busy_seconds += service
+        replica.energy_joules += result.end_to_end_energy
+        replica.batches += 1
+        self.schedule(finish, "free", self, (replica, work, chunk))
+        obs = self.obs
+        if obs is not None:
+            if chunk:
+                obs.prefill_chunk(replica, work, now, finish, chunk)
+            else:
+                obs.decode_step(replica, work, now, finish)
+        if chunk:
+            logger.debug("t=%.6f %s: prefill chunk of %d tokens for request %d",
+                         now, replica.name, chunk, work.index)
+
+    def _first_token(self, replica: LLMReplica, request: LLMRequest,
+                     now: float) -> None:
+        request.first_token_time = now
+        replica.current_prefill = None
+        obs = self.obs
+        if obs is not None:
+            obs.prefill_finished(request, replica, now)
+        if self.monolithic:
+            if request.decode_target == 0:
+                request.completion = now        # recorded at gang retirement
+        elif self.decode is not None:
+            replica.kv_used -= request.prompt_tokens   # KV ships to the decode pool
+            if request.decode_target == 0:
+                self._complete(request, replica, now, 1)
+            else:
+                arrival = now + self.handoff_seconds
+                self.schedule(arrival, "hop", self.decode, request)
+                if obs is not None:
+                    obs.handoff(request, replica, now, arrival)
+        elif request.decode_target == 0:
+            replica.kv_used -= request.reserved_tokens
+            self._complete(request, replica, now, 1)
+        else:
+            replica.decode_ready.append(request)
+            if obs is not None:
+                obs.decode_pending(request, now)
+
+    def _complete(self, request: LLMRequest, replica: LLMReplica, now: float,
+                  batch_size: int) -> None:
+        request.completion = now
+        replica.served += 1
+        self.finish(request.index, request.model, request.arrival, replica,
+                    batch_size, request.prefill_start, now, None,
+                    request.first_token_time, request.decode_target)
+        if self.obs is not None:
+            self.obs.request_completed(request, replica, now, batch_size)
+
+    def _admit_pending(self, kernel, now: float) -> None:
+        """Strict-FIFO admission from the decode pool's queue."""
+
+        pending = self.pending
+        while pending:
+            head = pending[0]
+            candidates = [replica for replica in self.replicas
+                          if replica.slots_used < self.max_batch
+                          and head.reserved_tokens <= replica.kv_free]
+            if not candidates:
+                return
+            replica = max(candidates, key=lambda r: (r.kv_free, -r.index))
+            pending.popleft()
+            replica.reserve(head.reserved_tokens)
+            replica.decode_ready.append(head)
+            if self.obs is not None:
+                self.obs.decode_admitted(head, replica, now)
+            self.dispatch(kernel, replica, now)
+
+    def _dispatch_gang(self, replica: LLMReplica, now: float) -> None:
+        """Monolithic scheduling: admit a gang, prefill its members one by
+        one, then decode in lockstep at the full gang size — members that
+        already finished pad the batch until the gang drains."""
+
+        gang = replica.gang
+        if not gang:
+            queue = replica.prefill_queue
+            while (queue and len(gang) < self.max_batch
+                   and queue[0].reserved_tokens <= replica.kv_free):
+                gang.append(self._admit(replica, queue[0].reserved_tokens, now))
+            replica.gang_steps_left = -1    # set once every prefill completes
+            if not gang:
+                return
+        if replica.current_prefill is None:
+            for member in gang:
+                if member.prefilled < member.prompt_tokens:
+                    replica.current_prefill = member
+                    break
+        if replica.current_prefill is not None:
+            self._launch(replica, now)
+            return
+        if replica.gang_steps_left < 0:     # prefills just drained: arm decode
+            replica.gang_steps_left = max(member.decode_target
+                                          for member in gang)
+            if replica.gang_steps_left == 0:
+                self._retire_gang(replica)
+                self._dispatch_gang(replica, now)
+                return
+        if replica.gang_steps_left > 0:
+            self._launch(replica, now, tuple(gang))
+
+    def _retire_gang(self, replica: LLMReplica) -> None:
+        size = len(replica.gang)
+        for member in replica.gang:
+            replica.kv_used -= member.reserved_tokens
+            self._complete(member, replica, member.completion, size)
+        replica.gang = []
+
+
 def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
               prefill_fleet: Fleet | str | None = None,
               decode_fleet: Fleet | str | None = None,
@@ -341,19 +579,16 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
     Requests take their prompt/output token counts from the traffic (token
     profiles or token-carrying traces), falling back to ``prompt_tokens`` /
     ``output_tokens``.  A request whose KV reservation cannot fit the
-    largest relevant replica raises ``ValueError`` up front; one that fits
-    only when capacity frees simply queues.  The report's ``ttft`` / ``tpot``
+    largest relevant replica raises ``ValueError`` when it arrives; one that
+    fits only when capacity frees queues on a replica large enough for it.  The report's ``ttft`` / ``tpot``
     summaries and ``llm`` block carry the phase-level results.
 
     ``summary`` mirrors :func:`repro.serve.serve`: ``"exact"`` (default)
-    keeps per-request records and exact order statistics, bit-identical to
-    historical reports; ``"streaming"`` pulls arrivals lazily and folds each
-    completion into log histograms, bounding memory for arbitrarily long
-    runs with every quantile within 1 % relative of the exact one.  Streaming mode sizes KV capacity from the models the *traffic
-    declares* (mix entries or trace models) rather than the models that
-    happened to arrive, and checks each request's KV feasibility when it is
-    generated instead of all up front — same ``ValueError``, raised at the
-    offending arrival.
+    keeps per-request records and exact order statistics; ``"streaming"``
+    folds each completion into log histograms, bounding memory for
+    arbitrarily long runs with every quantile within 1 % relative of the
+    exact one.  Both pull arrivals lazily and size KV capacity from the
+    models the traffic *declares* (mix entries or trace models).
 
     ``obs`` (a :class:`repro.obs.Observability`) attaches tracing, streaming
     metrics and/or progress reporting; hooks are pure observers and
@@ -389,44 +624,27 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         raise ValueError("SLOs must be positive")
     check_args(summary=summary, percentiles=percentiles)
     kv = KVCacheConfig() if kv is None else kv
-    cache = ResultCache(max_entries=DEFAULT_CACHE_ENTRIES) if cache is None else cache
+    fleets = ({"prefill_fleet": prefill_fleet, "decode_fleet": decode_fleet}
+              if disaggregated else {"fleet": fleet})
+    fleets = {key: Fleet.parse(spec) if isinstance(spec, str) else spec
+              for key, spec in fleets.items()}
 
-    def _parse(spec: Fleet | str) -> Fleet:
-        return Fleet.parse(spec) if isinstance(spec, str) else spec
-
-    # Exact summaries need the full request list at the end (per-request
-    # records joined back to phase timings), so they materialise as before;
-    # streaming summaries pull arrivals lazily and take the model set from
-    # what the traffic declares.  Patterns that cannot declare their models
-    # fall back to materialising even when streaming.
-    requests: list[LLMRequest] | None = None
-    raw_stream = None
-    if summary == "streaming":
-        models = traffic_models(traffic)
-        if models is None:
-            raw_arrivals = traffic.arrivals(duration, seed)
-            models = sorted({request.model for request in raw_arrivals})
-            raw_stream = iter(raw_arrivals)
-        else:
-            raw_stream = _iter_arrivals(traffic, duration, seed)
-    else:
-        arrivals = traffic.arrivals(duration, seed)
-        requests = [LLMRequest(request,
-                               request.prompt_tokens or prompt_tokens,
-                               request.output_tokens or output_tokens)
-                    for request in arrivals]
-        models = sorted({request.model for request in requests})
+    # KV capacity is sized from the models the traffic declares (mix entries
+    # or trace models); patterns that cannot declare them are generated once
+    # to find out.
+    models = traffic_models(traffic)
+    if models is None:
+        models = sorted({request.model
+                         for request in traffic.arrivals(duration, seed)})
     for model in models:
         _check_sequence_model(model)
-    from repro.workloads import get_workload
     bytes_per_token = max((kv.bytes_per_token(get_workload(model))
                            for model in models), default=1)
 
-    def _pool(fleet_spec: Fleet | str, role: str, start_index: int
-              ) -> list[LLMReplica]:
+    def _replicas(key: str, role: str, start_index: int) -> list[LLMReplica]:
         ordinals: dict[str, int] = {}
         replicas = []
-        for offset, spec in enumerate(_parse(fleet_spec).replica_specs):
+        for offset, spec in enumerate(fleets[key].replica_specs):
             ordinal = ordinals.get(spec.label, 0)
             ordinals[spec.label] = ordinal + 1
             capacity = kv.capacity_for(spec, bytes_per_token)
@@ -435,20 +653,20 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         return replicas
 
     if disaggregated:
-        prefill_pool = _pool(prefill_fleet, ROLE_PREFILL, 0)
-        decode_pool = _pool(decode_fleet, ROLE_DECODE, len(prefill_pool))
-        all_replicas = prefill_pool + decode_pool
+        prefill_replicas = _replicas("prefill_fleet", ROLE_PREFILL, 0)
+        decode_replicas = _replicas("decode_fleet", ROLE_DECODE,
+                                    len(prefill_replicas))
     else:
-        prefill_pool = decode_pool = all_replicas = _pool(fleet, ROLE_UNIFIED, 0)
+        prefill_replicas = decode_replicas = _replicas("fleet", ROLE_UNIFIED, 0)
 
-    # Admission feasibility is checked per request so an impossible request is
-    # a clean ValueError, not an event loop that never drains.  Exact mode
-    # checks the whole trace up front (construction-time error); streaming
-    # mode checks each arrival as it is pulled from the generator.
-    prefill_cap = max(replica.kv_capacity for replica in prefill_pool)
-    decode_cap = max(replica.kv_capacity for replica in decode_pool)
+    # Each arrival's KV feasibility is checked as it enters, so an impossible
+    # request is a clean ValueError, not an event loop that never drains.
+    prefill_cap = max(replica.kv_capacity for replica in prefill_replicas)
+    decode_cap = max(replica.kv_capacity for replica in decode_replicas)
 
-    def check_admissible(request: LLMRequest) -> LLMRequest:
+    def accept(raw: Request) -> LLMRequest:
+        request = LLMRequest(raw, raw.prompt_tokens or prompt_tokens,
+                             raw.output_tokens or output_tokens)
         need = request.prompt_tokens if disaggregated else request.reserved_tokens
         if need > prefill_cap:
             raise ValueError(
@@ -463,378 +681,28 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
                 f"but the largest decode replica holds {decode_cap}")
         return request
 
-    if requests is not None:
-        for request in requests:
-            check_admissible(request)
-
-    if obs is not None:
-        obs.begin_run(all_replicas, "serve-llm")
-    logger.info("serve_llm: %s arrivals over %.3fs, scheduler=%s, "
-                "%d replica(s)%s",
-                "streaming" if requests is None else len(requests), duration,
-                scheduler, len(all_replicas),
+    kernel = Kernel(traffic, duration=duration, seed=seed,
+                    slo_seconds=slo_seconds, cache=cache,
+                    percentiles=percentiles, summary=summary, obs=obs,
+                    phase_slos=(ttft_slo_seconds, tpot_slo_seconds))
+    shared = dict(scheduler=scheduler, prefill_chunk=prefill_chunk,
+                  max_batch=max_batch, kv_bucket=kv_bucket,
+                  step_overhead_seconds=step_overhead_seconds)
+    if disaggregated:
+        decode = LLMPool(decode_replicas, ROLE_DECODE, kernel, **shared)
+        entry = LLMPool(prefill_replicas, ROLE_PREFILL, kernel, accept=accept,
+                        decode=decode, handoff_seconds=handoff_seconds,
+                        **shared)
+        pools = [entry, decode]
+    else:
+        entry = LLMPool(prefill_replicas, ROLE_UNIFIED, kernel, accept=accept,
+                        **shared)
+        pools = [entry]
+    logger.info("serve_llm: arrivals over %.3fs, scheduler=%s, %d replica(s)%s",
+                duration, scheduler,
+                len(prefill_replicas) + len(decode_replicas) * disaggregated,
                 " (disaggregated)" if disaggregated else "")
-
-    # Arrival events take the request index as their tie-break sequence;
-    # runtime events (chunks, steps, gangs, handoffs) count from a disjoint
-    # range far above any realistic request count.  This reproduces the
-    # historical order (all arrivals pushed before any runtime event) without
-    # materialising the arrivals.
-    sequence = itertools.count(RUNTIME_SEQUENCE_BASE)
-    offered = 0
-    events: list[tuple[float, int, str, object]] = []
-    if requests is not None:
-        offered = len(requests)
-        events = [(request.arrival, request.index, "arrival", request)
-                  for request in requests]
-        heapq.heapify(events)
-        next_llm_arrival = None
-    else:
-        def next_llm_arrival() -> LLMRequest | None:
-            raw = next(raw_stream, None)
-            if raw is None:
-                return None
-            return check_admissible(
-                LLMRequest(raw, raw.prompt_tokens or prompt_tokens,
-                           raw.output_tokens or output_tokens))
-        first = next_llm_arrival()
-        if first is not None:
-            events.append((first.arrival, first.index, "arrival", first))
-    records: list[RequestRecord] = []
-    accumulator: ReportAccumulator | None = None
-    ttft_ok = tpot_ok = tpot_count = joint_ok = 0
-    if summary == "streaming":
-        accumulator = ReportAccumulator(slo_seconds=slo_seconds,
-                                        percentiles=percentiles,
-                                        track_ttft=True, track_tpot=True)
-    pending_decode: deque[LLMRequest] = deque()     # disaggregated pool queue
-    total_prefill_tokens = 0
-    total_generated = 0
-
-    def run_prefill_chunk(replica: LLMReplica, now: float) -> None:
-        request = replica.current_prefill
-        chunk = min(prefill_chunk, request.prompt_tokens - request.prefilled)
-        name = _configured(request.model, tokens=chunk,
-                           kv_tokens=request.prefilled + chunk, phase="prefill")
-        result = simulate(RunSpec(name, target=replica.spec.target,
-                                  attention=replica.spec.attention), cache=cache)
-        service = step_overhead_seconds + result.end_to_end_latency
-        finish = now + service
-        replica.busy_until = finish
-        replica.busy_seconds += service
-        replica.energy_joules += result.end_to_end_energy
-        replica.batches += 1
-        heapq.heappush(events, (finish, next(sequence), "chunk",
-                                (replica, request, chunk)))
-        if obs is not None:
-            obs.prefill_chunk(replica, request, now, finish, chunk)
-        logger.debug("t=%.6f %s: prefill chunk of %d tokens for request %d",
-                     now, replica.name, chunk, request.index)
-
-    def run_decode_step(replica: LLMReplica, now: float) -> None:
-        batch = tuple(replica.batch)
-        kv_tokens = max(request.prompt_tokens + request.decoded
-                        for request in batch)
-        name = _configured(batch[0].model, tokens=1,
-                           kv_tokens=_bucket(kv_tokens, kv_bucket),
-                           phase="decode")
-        result = simulate(RunSpec(name, target=replica.spec.target,
-                                  attention=replica.spec.attention,
-                                  batch_size=len(batch)), cache=cache)
-        service = step_overhead_seconds + result.end_to_end_latency
-        finish = now + service
-        replica.busy_until = finish
-        replica.busy_seconds += service
-        replica.energy_joules += result.end_to_end_energy
-        replica.batches += 1
-        replica.decode_steps += 1
-        heapq.heappush(events, (finish, next(sequence), "step", (replica, batch)))
-        if obs is not None:
-            obs.decode_step(replica, batch, now, finish)
-
-    def run_gang_step(replica: LLMReplica, now: float) -> None:
-        gang = tuple(replica.gang)
-        kv_tokens = max(request.prompt_tokens + request.decoded
-                        for request in gang)
-        name = _configured(gang[0].model, tokens=1,
-                           kv_tokens=_bucket(kv_tokens, kv_bucket),
-                           phase="decode")
-        # Monolithic semantics: every step is charged at the full gang size —
-        # members that already finished pad the batch until the gang drains.
-        result = simulate(RunSpec(name, target=replica.spec.target,
-                                  attention=replica.spec.attention,
-                                  batch_size=len(gang)), cache=cache)
-        service = step_overhead_seconds + result.end_to_end_latency
-        finish = now + service
-        replica.busy_until = finish
-        replica.busy_seconds += service
-        replica.energy_joules += result.end_to_end_energy
-        replica.batches += 1
-        replica.decode_steps += 1
-        heapq.heappush(events, (finish, next(sequence), "gang", (replica, gang)))
-        if obs is not None:
-            obs.decode_step(replica, gang, now, finish)
-
-    def record_completion(request: LLMRequest, replica: LLMReplica,
-                          now: float, batch_size: int) -> None:
-        nonlocal ttft_ok, tpot_ok, tpot_count, joint_ok
-        request.completion = now
-        replica.served += 1
-        if accumulator is not None:
-            accumulator.observe(request.model, request.arrival,
-                                request.prefill_start, now)
-            ttft = request.first_token_time - request.arrival
-            accumulator.ttft.add(ttft)
-            tpot = None
-            if request.decode_target:
-                tpot = (now - request.first_token_time) / request.decode_target
-                accumulator.tpot.add(tpot)
-                tpot_count += 1
-                if tpot <= tpot_slo_seconds:
-                    tpot_ok += 1
-            if ttft <= ttft_slo_seconds:
-                ttft_ok += 1
-                if tpot is None or tpot <= tpot_slo_seconds:
-                    joint_ok += 1
-        else:
-            records.append(RequestRecord(
-                index=request.index, model=request.model,
-                arrival=request.arrival, replica=replica.name,
-                batch_size=batch_size, dispatch=request.prefill_start,
-                completion=now))
-        if obs is not None:
-            obs.request_completed(request, replica, now, batch_size)
-
-    def admit_ready(replica: LLMReplica, now: float) -> None:
-        """Fold KV-admitted requests into the running batch (same model only —
-        a decode step lowers to one engine shape)."""
-
-        if not replica.decode_ready:
-            return
-        model = replica.batch[0].model if replica.batch \
-            else replica.decode_ready[0].model
-        kept = []
-        for request in replica.decode_ready:
-            if len(replica.batch) < max_batch and request.model == model:
-                request.decode_batch = len(replica.batch) + 1
-                replica.batch.append(request)
-                if obs is not None:
-                    obs.decode_joined(request, replica, now)
-            else:
-                kept.append(request)
-        replica.decode_ready = kept
-
-    def admit_decode_pool(now: float) -> None:
-        """Strict-FIFO admission from the disaggregated pool queue."""
-
-        while pending_decode:
-            head = pending_decode[0]
-            candidates = [replica for replica in decode_pool
-                          if replica.slots_used < max_batch
-                          and head.reserved_tokens <= replica.kv_free]
-            if not candidates:
-                return
-            replica = max(candidates,
-                          key=lambda r: (r.kv_free, -r.index))
-            pending_decode.popleft()
-            replica.reserve(head.reserved_tokens)
-            replica.decode_ready.append(head)
-            if obs is not None:
-                obs.decode_admitted(head, replica, now)
-            kick(replica, now)
-
-    def finish_prefill(replica: LLMReplica, request: LLMRequest,
-                       now: float) -> None:
-        request.first_token_time = now
-        replica.current_prefill = None
-        if obs is not None:
-            obs.prefill_finished(request, replica, now)
-        if disaggregated:
-            replica.release(request.prompt_tokens)   # KV ships to the decode pool
-            if request.decode_target == 0:
-                record_completion(request, replica, now, batch_size=1)
-            else:
-                heapq.heappush(events, (now + handoff_seconds, next(sequence),
-                                        "handoff", request))
-                if obs is not None:
-                    obs.handoff(request, replica, now, now + handoff_seconds)
-        elif request.decode_target == 0:
-            replica.release(request.reserved_tokens)
-            record_completion(request, replica, now, batch_size=1)
-        else:
-            replica.decode_ready.append(request)
-            if obs is not None:
-                obs.decode_pending(request, now)
-
-    def form_gang(replica: LLMReplica, now: float) -> None:
-        while (replica.prefill_queue and len(replica.gang) < max_batch
-               and replica.prefill_queue[0].reserved_tokens <= replica.kv_free):
-            request = replica.prefill_queue.popleft()
-            replica.reserve(request.reserved_tokens)
-            request.prefill_start = now
-            replica.gang.append(request)
-            if obs is not None:
-                obs.prefill_admitted(request, replica, now)
-        replica.gang_steps_left = -1        # set once every prefill completes
-
-    def kick_monolithic(replica: LLMReplica, now: float) -> None:
-        if not replica.gang:
-            form_gang(replica, now)
-            if not replica.gang:
-                return
-        if replica.current_prefill is None:
-            for member in replica.gang:
-                if member.prefilled < member.prompt_tokens:
-                    replica.current_prefill = member
-                    break
-        if replica.current_prefill is not None:
-            run_prefill_chunk(replica, now)
-            return
-        if replica.gang_steps_left < 0:     # prefills just drained: arm decode
-            replica.gang_steps_left = max(member.decode_target
-                                          for member in replica.gang)
-            if replica.gang_steps_left == 0:
-                retire_gang(replica, now)
-                kick_monolithic(replica, now)
-                return
-        if replica.gang_steps_left > 0:
-            run_gang_step(replica, now)
-
-    def retire_gang(replica: LLMReplica, now: float) -> None:
-        size = len(replica.gang)
-        for member in replica.gang:
-            replica.release(member.reserved_tokens)
-            record_completion(member, replica,
-                              member.completion if member.completion is not None
-                              else now, batch_size=size)
-        replica.gang = []
-
-    def kick(replica: LLMReplica, now: float) -> None:
-        if not replica.idle(now):
-            return
-        if scheduler == "monolithic":
-            kick_monolithic(replica, now)
-            return
-        admit_ready(replica, now)
-        if replica.role != ROLE_DECODE:
-            if replica.current_prefill is None and replica.prefill_queue:
-                head = replica.prefill_queue[0]
-                need = (head.prompt_tokens if disaggregated
-                        else head.reserved_tokens)
-                if need <= replica.kv_free:
-                    replica.prefill_queue.popleft()
-                    replica.reserve(need)
-                    head.prefill_start = now
-                    replica.current_prefill = head
-                    if obs is not None:
-                        obs.prefill_admitted(head, replica, now)
-            # Prefill-priority: new prompts preempt the decode batch at the
-            # iteration boundary — colocated TPOT pays for it, which is the
-            # interference disaggregation exists to remove.
-            if replica.current_prefill is not None:
-                run_prefill_chunk(replica, now)
-                return
-        if replica.batch:
-            run_decode_step(replica, now)
-
-    def route_arrival(request: LLMRequest, now: float) -> None:
-        if disaggregated:
-            replica = min(prefill_pool,
-                          key=lambda r: (r.pending_prefill_tokens, r.index))
-        else:
-            replica = min(prefill_pool,
-                          key=lambda r: (r.pending_load, r.index))
-        replica.prefill_queue.append(request)
-        if obs is not None:
-            obs.request_routed(request, replica, now,
-                               len(replica.prefill_queue))
-        kick(replica, now)
-
-    tick = obs.event_tick if obs is not None else None
-    while events:
-        now, _, kind, payload = heapq.heappop(events)
-        if tick is not None:
-            tick(now)
-        if kind == "arrival":
-            if requests is None:
-                offered += 1
-                upcoming = next_llm_arrival()
-                if upcoming is not None:
-                    heapq.heappush(events, (upcoming.arrival, upcoming.index,
-                                            "arrival", upcoming))
-            route_arrival(payload, now)
-        elif kind == "chunk":
-            replica, request, chunk = payload
-            request.prefilled += chunk
-            total_prefill_tokens += chunk
-            if request.prefilled >= request.prompt_tokens:
-                if scheduler == "monolithic":
-                    request.first_token_time = now
-                    replica.current_prefill = None
-                    if obs is not None:
-                        obs.prefill_finished(request, replica, now)
-                    if request.decode_target == 0:
-                        request.completion = now    # recorded at gang retirement
-                else:
-                    finish_prefill(replica, request, now)
-            kick(replica, now)
-        elif kind == "step":
-            replica, batch = payload
-            for request in batch:
-                request.decoded += 1
-                total_generated += 1
-                if request.decoded >= request.decode_target:
-                    replica.batch.remove(request)
-                    replica.release(request.reserved_tokens)
-                    record_completion(request, replica, now,
-                                      batch_size=request.decode_batch)
-            if disaggregated:
-                admit_decode_pool(now)
-            kick(replica, now)
-        elif kind == "gang":
-            replica, gang = payload
-            replica.gang_steps_left -= 1
-            for member in gang:
-                if member.decoded < member.decode_target:
-                    member.decoded += 1
-                    total_generated += 1
-                    if (member.decoded >= member.decode_target
-                            and member.completion is None):
-                        member.completion = now
-            if replica.gang_steps_left == 0:
-                retire_gang(replica, now)
-            kick(replica, now)
-        else:                                       # "handoff"
-            pending_decode.append(payload)
-            admit_decode_pool(now)
-
-    if requests is not None:
-        records.sort(key=lambda record: record.index)
-        by_index = {request.index: request for request in requests}
-        ttft_values = [by_index[record.index].first_token_time
-                       - by_index[record.index].arrival for record in records]
-        tpot_values = [(record.completion
-                        - by_index[record.index].first_token_time)
-                       / by_index[record.index].decode_target
-                       for record in records
-                       if by_index[record.index].decode_target]
-        makespan = max([duration] + [record.completion for record in records])
-        joint = [1 for record in records
-                 if by_index[record.index].first_token_time
-                 - by_index[record.index].arrival <= ttft_slo_seconds
-                 and (not by_index[record.index].decode_target
-                      or (record.completion
-                          - by_index[record.index].first_token_time)
-                      / by_index[record.index].decode_target
-                      <= tpot_slo_seconds)]
-    else:
-        makespan = max(duration, accumulator.last_completion)
-    total_steps = sum(replica.decode_steps for replica in all_replicas)
-
-    def attainment(values: Sequence[float], slo: float) -> float:
-        if not values:
-            return 1.0
-        return sum(1 for value in values if value <= slo) / len(values)
+    kernel.run(pools, entry, "serve-llm")
 
     config: dict[str, object] = {
         "traffic": traffic.to_dict(),
@@ -851,58 +719,22 @@ def serve_llm(traffic: TrafficPattern, fleet: Fleet | str | None = None, *,
         "ttft_slo_seconds": ttft_slo_seconds,
         "tpot_slo_seconds": tpot_slo_seconds,
         "kv": kv.to_dict(),
+        **{key: value.describe() for key, value in fleets.items()},
     }
     if disaggregated:
-        config["prefill_fleet"] = _parse(prefill_fleet).describe()
-        config["decode_fleet"] = _parse(decode_fleet).describe()
         config["handoff_seconds"] = handoff_seconds
-    else:
-        config["fleet"] = _parse(fleet).describe()
-    if summary != "exact":
-        config["summary"] = summary
 
-    if accumulator is not None:
-        completed = accumulator.latency.count
-        ttft_attainment = ttft_ok / completed if completed else 1.0
-        tpot_attainment = tpot_ok / tpot_count if tpot_count else 1.0
-        slo_attainment = joint_ok / completed if completed else 1.0
-    else:
-        ttft_attainment = attainment(ttft_values, ttft_slo_seconds)
-        tpot_attainment = attainment(tpot_values, tpot_slo_seconds)
-        slo_attainment = len(joint) / len(records) if records else 1.0
-
+    generated = sum(pool.generated_tokens for pool in pools)
+    steps = sum(replica.decode_steps for replica in kernel.replicas)
     llm_block: dict[str, object] = {
         "scheduler": scheduler,
         "disaggregated": disaggregated,
-        "prefill_tokens": total_prefill_tokens,
-        "generated_tokens": total_generated,
-        "decode_steps": total_steps,
-        "mean_decode_batch": (total_generated / total_steps
-                              if total_steps else 0.0),
-        "decode_tokens_per_second": total_generated / makespan,
-        "ttft_slo_seconds": ttft_slo_seconds,
-        "tpot_slo_seconds": tpot_slo_seconds,
-        "ttft_attainment": ttft_attainment,
-        "tpot_attainment": tpot_attainment,
-        "slo_attainment": slo_attainment,
+        "prefill_tokens": sum(pool.prefill_tokens for pool in pools),
+        "generated_tokens": generated,
+        "decode_steps": steps,
+        "mean_decode_batch": generated / steps if steps else 0.0,
+        "decode_tokens_per_second": generated / kernel.makespan(),
+        **kernel.attainment(),
         "kv_bytes_per_token": bytes_per_token,
     }
-    if accumulator is not None:
-        report = accumulator.finalize(config, offered=offered,
-                                      duration=duration, replicas=all_replicas,
-                                      cache_stats=cache.stats(), llm=llm_block)
-    else:
-        report = build_report(config, records, offered=offered,
-                              duration=duration, slo_seconds=slo_seconds,
-                              replicas=all_replicas, cache_stats=cache.stats(),
-                              percentiles=percentiles,
-                              ttft_values=ttft_values,
-                              tpot_values=tpot_values,
-                              llm=llm_block)
-    logger.info("serve_llm: completed %d/%d requests, %d tokens generated, "
-                "ttft p95 %.4fs", report.completed, report.offered,
-                total_generated,
-                report.ttft.p95 if report.ttft is not None else 0.0)
-    if obs is not None:
-        obs.end_run(report)
-    return report
+    return kernel.report(config, "serve-llm", llm=llm_block)

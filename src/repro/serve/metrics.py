@@ -46,10 +46,6 @@ class RequestRecord:
         return self.dispatch - self.arrival
 
     @property
-    def service(self) -> float:
-        return self.completion - self.dispatch
-
-    @property
     def latency(self) -> float:
         return self.completion - self.arrival
 
@@ -306,14 +302,28 @@ def _window_count(makespan: float, window_seconds: float) -> int:
     return count
 
 
-def _replica_window_overlap(replicas, makespan: float, start: float,
-                            end: float) -> float:
-    """Provisioned replica-seconds overlapping one ``[start, end)`` window."""
+def _window_reports(replicas, makespan: float, window_seconds: float,
+                    arrivals: Sequence[int], completed: Sequence[int],
+                    p99s: Sequence[float]) -> tuple[WindowReport, ...]:
+    """One :class:`WindowReport` per window from its folded counts, adding
+    the provisioned replica-seconds overlapping each ``[start, end)``."""
 
-    return sum(
-        max(0.0, min(replica.retired_at if replica.retired_at is not None
-                     else makespan, end) - max(replica.started_at, start))
-        for replica in replicas)
+    windows = []
+    for index, done in enumerate(completed):
+        # Boundaries multiply rather than accumulate: repeated float addition
+        # drifts below an exact multiple.
+        start = index * window_seconds
+        end = min(start + window_seconds, makespan)
+        width = end - start
+        overlap = sum(
+            max(0.0, min(replica.retired_at if replica.retired_at is not None
+                         else makespan, end) - max(replica.started_at, start))
+            for replica in replicas)
+        windows.append(WindowReport(
+            start=start, end=end, arrivals=arrivals[index], completed=done,
+            throughput_rps=done / width if width else 0.0, p99=p99s[index],
+            mean_active_replicas=overlap / width if width else 0.0))
+    return tuple(windows)
 
 
 class ReportAccumulator:
@@ -340,8 +350,7 @@ class ReportAccumulator:
 
     def __init__(self, *, slo_seconds: float,
                  percentiles: Sequence[float] = DEFAULT_PERCENTILES,
-                 window_seconds: float | None = None,
-                 track_ttft: bool = False, track_tpot: bool = False):
+                 window_seconds: float | None = None, phases: bool = False):
         # Imported lazily: the obs layer builds on serve.metrics, so the
         # module-level dependency must keep pointing obs -> serve.
         from repro.obs.sketch import LogHistogram, StreamingLatency, bucket_key
@@ -354,8 +363,8 @@ class ReportAccumulator:
         self.latency = self._sketch()
         self.queue_wait = self._sketch()
         self.per_model: dict[str, object] = {}
-        self.ttft = self._sketch() if track_ttft else None
-        self.tpot = self._sketch() if track_tpot else None
+        self.ttft = self._sketch() if phases else None      # LLM runs only
+        self.tpot = self._sketch() if phases else None
         self.violations = 0
         self.last_completion = 0.0
         self._window_arrivals: list[int] = []
@@ -414,19 +423,10 @@ class ReportAccumulator:
             merged.merge(tails[-1])
             merged.merge(self._window_tails[bucket])
             tails[-1] = merged
-        windows = []
-        for index in range(count):
-            start = index * window_seconds
-            end = min(start + window_seconds, makespan)
-            width = end - start
-            overlap = _replica_window_overlap(replicas, makespan, start, end)
-            windows.append(WindowReport(
-                start=start, end=end, arrivals=arrivals[index],
-                completed=completed[index],
-                throughput_rps=completed[index] / width if width else 0.0,
-                p99=tails[index].quantile(0.99) if completed[index] else 0.0,
-                mean_active_replicas=overlap / width if width else 0.0))
-        return tuple(windows)
+        return _window_reports(
+            replicas, makespan, window_seconds, arrivals, completed,
+            [tail.quantile(0.99) if done else 0.0
+             for tail, done in zip(tails, completed)])
 
     def finalize(self, config: dict[str, object], offered: int,
                  duration: float, replicas, cache_stats: CacheStats,
@@ -438,119 +438,32 @@ class ReportAccumulator:
 
         completed = self.latency.count
         makespan = max(duration, self.last_completion)
-        total_energy = sum(replica.energy_joules for replica in replicas)
-        total_batches = sum(replica.batches for replica in replicas)
-        per_replica = tuple(
-            ReplicaReport(
-                name=replica.name, target=replica.spec.target,
-                attention=replica.spec.attention, requests=replica.served,
-                batches=replica.batches, busy_seconds=replica.busy_seconds,
-                utilization=replica.busy_seconds / makespan,
-                energy_joules=replica.energy_joules,
-                started_at=replica.started_at, retired_at=replica.retired_at,
-                role=getattr(replica, "role", None),
-                kv_capacity_tokens=getattr(replica, "kv_capacity", None),
-                kv_peak_tokens=getattr(replica, "kv_peak", None),
-                decode_steps=getattr(replica, "decode_steps", None),
-                stage=getattr(replica, "stage", None))
-            for replica in replicas
-        )
-        return ServeReport(
-            config=config,
-            offered=offered,
-            completed=completed,
-            duration=duration,
-            makespan=makespan,
-            throughput_rps=completed / makespan,
+        return _assemble(
+            config, replicas, offered=offered, completed=completed,
+            duration=duration, makespan=makespan, slo_seconds=self.slo_seconds,
+            violations=self.violations, cache_stats=cache_stats,
+            scale_events=scale_events, llm=llm, pipeline=pipeline,
             latency=self.latency.summary(),
             queue_wait=self.queue_wait.summary(),
-            mean_batch_size=completed / total_batches if total_batches else 0.0,
-            slo_seconds=self.slo_seconds,
-            slo_violation_rate=self.violations / completed if completed else 0.0,
-            total_energy_joules=total_energy,
-            energy_per_request_joules=(total_energy / completed
-                                       if completed else 0.0),
             per_model=tuple(sorted(((model, sketch.summary())
                                     for model, sketch in self.per_model.items()),
                                    key=lambda entry: entry[0])),
-            per_replica=per_replica,
-            cache=cache_stats,
-            replica_seconds=sum(replica.lifetime_seconds(makespan)
-                                for replica in replicas),
-            scale_events=tuple(scale_events),
             windows=(None if self.window_seconds is None
                      else self._windows(replicas, makespan)),
             ttft=None if self.ttft is None else self.ttft.summary(),
-            tpot=None if self.tpot is None else self.tpot.summary(),
-            llm=llm,
-            pipeline=pipeline,
-        )
+            tpot=None if self.tpot is None else self.tpot.summary())
 
 
-def _build_windows(records: Sequence[RequestRecord], replicas, makespan: float,
-                   window_seconds: float) -> tuple[WindowReport, ...]:
-    """Slice the run into fixed-width windows (the last one may be partial)."""
+def _assemble(config: dict[str, object], replicas, *, offered: int,
+              completed: int, duration: float, makespan: float,
+              slo_seconds: float, violations: int, cache_stats: CacheStats,
+              scale_events: Sequence[ScaleEvent], llm, pipeline,
+              **summaries) -> ServeReport:
+    """The :class:`ServeReport` both folds share: replica accounting and the
+    run-level ratios around the fold's own latency ``summaries``."""
 
-    count = _window_count(makespan, window_seconds)
-
-    def bucket(time: float) -> int:
-        # A completion exactly at makespan belongs to the (partial) last
-        # window, not a nonexistent one past it.
-        return min(int(time / window_seconds), count - 1)
-
-    arrivals = [0] * count
-    latencies: list[list[float]] = [[] for _ in range(count)]
-    for record in records:         # one pass, not one scan per window
-        arrivals[bucket(record.arrival)] += 1
-        latencies[bucket(record.completion)].append(record.latency)
-
-    windows = []
-    for index in range(count):
-        # Boundaries multiply rather than accumulate: repeated float addition
-        # drifts below an exact multiple.
-        start = index * window_seconds
-        end = min(start + window_seconds, makespan)
-        width = end - start
-        overlap = _replica_window_overlap(replicas, makespan, start, end)
-        completed = latencies[index]
-        windows.append(WindowReport(
-            start=start, end=end, arrivals=arrivals[index],
-            completed=len(completed),
-            throughput_rps=len(completed) / width if width else 0.0,
-            p99=percentile(completed, 0.99) if completed else 0.0,
-            mean_active_replicas=overlap / width if width else 0.0))
-    return tuple(windows)
-
-
-def build_report(config: dict[str, object], records: Sequence[RequestRecord],
-                 offered: int, duration: float, slo_seconds: float,
-                 replicas, cache_stats: CacheStats,
-                 percentiles: Sequence[float] = DEFAULT_PERCENTILES,
-                 scale_events: Sequence[ScaleEvent] = (),
-                 window_seconds: float | None = None,
-                 ttft_values: Sequence[float] | None = None,
-                 tpot_values: Sequence[float] | None = None,
-                 llm: dict[str, object] | None = None,
-                 pipeline: dict[str, object] | None = None) -> ServeReport:
-    """Fold raw request records and replica accounting into a report.
-
-    ``ttft_values`` / ``tpot_values`` / ``llm`` are the LLM-serving extras
-    (:mod:`repro.serve.llm` passes them); left at ``None`` the report's JSON
-    shape is exactly the classic one.
-    """
-
-    latencies = [record.latency for record in records]
-    waits = [record.queue_wait for record in records]
-    makespan = max([duration] + [record.completion for record in records])
-    completed = len(records)
-    violations = sum(1 for latency in latencies if latency > slo_seconds)
     total_energy = sum(replica.energy_joules for replica in replicas)
     total_batches = sum(replica.batches for replica in replicas)
-
-    by_model: dict[str, list[float]] = {}
-    for record in records:
-        by_model.setdefault(record.model, []).append(record.latency)
-
     per_replica = tuple(
         ReplicaReport(
             name=replica.name, target=replica.spec.target,
@@ -573,27 +486,82 @@ def build_report(config: dict[str, object], records: Sequence[RequestRecord],
         duration=duration,
         makespan=makespan,
         throughput_rps=completed / makespan,
-        latency=LatencySummary.of(latencies, percentiles),
-        queue_wait=LatencySummary.of(waits, percentiles),
         mean_batch_size=completed / total_batches if total_batches else 0.0,
         slo_seconds=slo_seconds,
         slo_violation_rate=violations / completed if completed else 0.0,
         total_energy_joules=total_energy,
         energy_per_request_joules=total_energy / completed if completed else 0.0,
-        per_model=tuple(sorted(((model, LatencySummary.of(values, percentiles))
-                                for model, values in by_model.items()),
-                               key=lambda entry: entry[0])),
         per_replica=per_replica,
         cache=cache_stats,
         replica_seconds=sum(replica.lifetime_seconds(makespan)
                             for replica in replicas),
         scale_events=tuple(scale_events),
+        llm=llm,
+        pipeline=pipeline,
+        **summaries,
+    )
+
+
+def _build_windows(records: Sequence[RequestRecord], replicas, makespan: float,
+                   window_seconds: float) -> tuple[WindowReport, ...]:
+    """Slice the run into fixed-width windows (the last one may be partial)."""
+
+    count = _window_count(makespan, window_seconds)
+
+    def bucket(time: float) -> int:
+        # A completion exactly at makespan belongs to the (partial) last
+        # window, not a nonexistent one past it.
+        return min(int(time / window_seconds), count - 1)
+
+    arrivals = [0] * count
+    latencies: list[list[float]] = [[] for _ in range(count)]
+    for record in records:         # one pass, not one scan per window
+        arrivals[bucket(record.arrival)] += 1
+        latencies[bucket(record.completion)].append(record.latency)
+
+    return _window_reports(
+        replicas, makespan, window_seconds, arrivals,
+        [len(window) for window in latencies],
+        [percentile(window, 0.99) if window else 0.0 for window in latencies])
+
+
+def build_report(config: dict[str, object], records: Sequence[RequestRecord],
+                 offered: int, duration: float, slo_seconds: float,
+                 replicas, cache_stats: CacheStats,
+                 percentiles: Sequence[float] = DEFAULT_PERCENTILES,
+                 scale_events: Sequence[ScaleEvent] = (),
+                 window_seconds: float | None = None,
+                 ttft_values: Sequence[float] | None = None,
+                 tpot_values: Sequence[float] | None = None,
+                 llm: dict[str, object] | None = None,
+                 pipeline: dict[str, object] | None = None) -> ServeReport:
+    """Fold raw request records and replica accounting into a report.
+
+    ``ttft_values`` / ``tpot_values`` / ``llm`` are the LLM-serving extras
+    (:mod:`repro.serve.llm` passes them); left at ``None`` the report's JSON
+    shape is exactly the classic one.
+    """
+
+    latencies = [record.latency for record in records]
+    makespan = max([duration] + [record.completion for record in records])
+    by_model: dict[str, list[float]] = {}
+    for record in records:
+        by_model.setdefault(record.model, []).append(record.latency)
+    return _assemble(
+        config, replicas, offered=offered, completed=len(records),
+        duration=duration, makespan=makespan, slo_seconds=slo_seconds,
+        violations=sum(1 for latency in latencies if latency > slo_seconds),
+        cache_stats=cache_stats, scale_events=scale_events, llm=llm,
+        pipeline=pipeline,
+        latency=LatencySummary.of(latencies, percentiles),
+        queue_wait=LatencySummary.of([record.queue_wait for record in records],
+                                     percentiles),
+        per_model=tuple(sorted(((model, LatencySummary.of(values, percentiles))
+                                for model, values in by_model.items()),
+                               key=lambda entry: entry[0])),
         windows=(None if window_seconds is None
                  else _build_windows(records, replicas, makespan, window_seconds)),
         ttft=(None if ttft_values is None
               else LatencySummary.of(ttft_values, percentiles)),
         tpot=(None if tpot_values is None
-              else LatencySummary.of(tpot_values, percentiles)),
-        llm=llm,
-        pipeline=pipeline,
-    )
+              else LatencySummary.of(tpot_values, percentiles)))

@@ -12,8 +12,8 @@ acceptance probability and escalates to the verifier otherwise).
 
 :func:`serve_pipeline` adds no event loop of its own: it runs on the same
 :class:`~repro.serve.simulator.Kernel` as classic :func:`serve`, with one
-:class:`~repro.serve.simulator.Pool` per stage.  The kernel routes, batches,
-dispatches and autoscales every pool alike; each stage's batch sink records
+:class:`~repro.serve.simulator.BatchPool` per stage.  The pools route, batch,
+dispatch and autoscale alike; each stage's batch sink records
 the per-stage waits and draws the request's next stage, which the kernel
 schedules as a ``"hop"`` event one handoff delay later — until the request
 exits.  The whole run is thus a tandem queueing network;
@@ -39,14 +39,14 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from repro.engine import ResultCache
-from repro.serve.batching import BatchPolicy
-from repro.serve.cluster import Fleet, Replica, Router
+from repro.serve.batching import BatchPolicy, make_policy
+from repro.serve.cluster import Fleet, Replica, Router, make_router
 from repro.serve.metrics import DEFAULT_PERCENTILES, LatencySummary, ServeReport
 from repro.serve.simulator import (
     DEFAULT_DISPATCH_OVERHEAD,
     DEFAULT_SLO,
+    BatchPool,
     Kernel,
-    Pool,
     check_args,
 )
 from repro.serve.traffic import Request, TrafficPattern, _check_workload_name
@@ -418,7 +418,9 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
         raise ValueError("each stage needs its own Autoscaler instance "
                          "(they carry per-fleet state)")
 
-    kernel = Kernel(traffic, policy, router, duration=duration, seed=seed,
+    policy = make_policy(policy) if isinstance(policy, str) else policy
+    router = make_router(router) if isinstance(router, str) else router
+    kernel = Kernel(traffic, duration=duration, seed=seed,
                     slo_seconds=slo_seconds,
                     dispatch_overhead_seconds=dispatch_overhead_seconds,
                     cache=cache, percentiles=percentiles,
@@ -426,19 +428,20 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
     logger.info("serve_pipeline: %s over %.3fs, %d stages "
                 "(policy=%s router=%s summary=%s)",
                 pipeline.name, duration, len(pipeline.stages),
-                kernel.policy.name, kernel.router.name, summary)
+                policy.name, router.name, summary)
 
     # Each stage pool gets globally unique replica indices and
     # stage-prefixed names (observability tracks and LoadIndex entries key
     # on them).
-    stage_pools: dict[str, Pool] = {}
+    stage_pools: dict[str, BatchPool] = {}
     for ordinal, stage in enumerate(pipeline.stages):
         pool, layout = pools[stage.name], dict(
             index_base=ordinal * _STAGE_INDEX_STRIDE, stage=stage.name)
         fleet = (Fleet(pool.replica_specs, **layout) if isinstance(pool, Fleet)
                  else Fleet.parse(pool, **layout))
-        stage_pools[stage.name] = Pool(
-            fleet, autoscaler=autoscalers.get(stage.name), model=stage.model)
+        stage_pools[stage.name] = BatchPool(
+            fleet, policy=policy, router=router,
+            autoscaler=autoscalers.get(stage.name), model=stage.model)
     stats = {stage.name: _StageStats(summary == "streaming", percentiles,
                                      stage_slo_seconds.get(stage.name))
              for stage in pipeline.stages}
@@ -537,8 +540,8 @@ def serve_pipeline(traffic: TrafficPattern, pipeline: "PipelineSpec | str",
         "pipeline": pipeline.to_dict(),
         "pools": {name: pool.fleet.describe()
                   for name, pool in stage_pools.items()},
-        "policy": kernel.policy.to_dict(),
-        "router": kernel.router.name,
+        "policy": policy.to_dict(),
+        "router": router.name,
         "duration": duration,
         "seed": seed,
         "slo_seconds": slo_seconds,

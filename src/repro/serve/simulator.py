@@ -1,24 +1,29 @@
-"""The discrete-event kernel of classic and pipeline serving.
+"""The discrete-event kernel behind every serving simulator.
 
-One :class:`Kernel` runs every :func:`serve` and
-:func:`~repro.serve.pipeline.serve_pipeline` experiment.  It owns a single
-heap of ``(time, sequence, kind, pool, payload)`` events, pulls arrivals
-lazily from :meth:`~repro.serve.traffic.TrafficPattern.iter_arrivals` (the
-heap holds in-flight work plus exactly one future arrival), routes each
-request onto a :class:`Pool` — a fleet with its least-loaded
-:class:`~repro.serve.cluster.LoadIndex`, an optional autoscaler and a batch
-sink — and lets the replica's batching policy fold its queue into
-single-model batches.  Every batch's service time/energy comes from the
-engine (``simulate`` of a batched ``RunSpec`` through the run's own
-LRU-bounded :class:`~repro.engine.ResultCache`), plus
-``dispatch_overhead_seconds`` of host-side launch cost — the cost batching
-amortises, without which the engine's linear batch scaling would make
-batching a no-op.
+One :class:`Kernel` runs every :func:`serve`,
+:func:`~repro.serve.pipeline.serve_pipeline` and
+:func:`~repro.serve.llm.serve_llm` experiment.  It owns a single heap of
+``(time, sequence, kind, pool, payload)`` events, pulls arrivals lazily from
+:meth:`~repro.serve.traffic.TrafficPattern.iter_arrivals` (the heap holds
+in-flight work plus exactly one future arrival), hands every event to the
+:class:`Pool` it names, and folds completions into the report.  Pools own
+routing, dispatch and completion effects:
 
-Classic :func:`serve` is one pool whose sink records each completion.  A
-pipeline run is one pool per stage whose sinks draw the next stage and hand
-the request back to the kernel as a ``"hop"`` event; the kernel itself knows
-nothing about stages.  Arrival events are sequenced by request index and all
+* a :class:`BatchPool` (classic and pipeline serving) routes onto a fleet
+  through its least-loaded :class:`~repro.serve.cluster.LoadIndex` and lets
+  each replica's batching policy fold its queue into single-model batches.
+  A batch costs the engine's service time (``simulate`` of a batched
+  ``RunSpec`` through the run's LRU-bounded
+  :class:`~repro.engine.ResultCache`) plus ``dispatch_overhead_seconds`` of
+  host-side launch cost, the cost batching amortises;
+* an :class:`~repro.serve.llm.LLMPool` runs prefill chunks, continuous
+  decode steps or monolithic gang steps against per-replica KV caches.
+
+Classic :func:`serve` is one batch pool whose sink records each completion.
+A pipeline run is one pool per stage whose sinks hand each request to the
+next stage as a ``"hop"`` event; a disaggregated LLM run hops each prefilled
+request into its decode pool the same way.  The kernel knows nothing about
+stages or phases.  Arrival events are sequenced by request index and all
 runtime events from a disjoint higher range, so event ordering (ties
 included) is identical whether arrivals are prefetched lazily or were all
 pushed up front, and every random draw comes from a seeded generator — a
@@ -27,15 +32,17 @@ run's arguments map to one bit-exact :class:`ServeReport`.
 ``summary="exact"`` keeps one record per request and reports nearest-rank
 order statistics; ``summary="streaming"`` folds completions into
 bounded-memory log histograms (:class:`~repro.serve.metrics.ReportAccumulator`),
-making memory independent of request count.
+making memory independent of request count.  LLM runs add TTFT/TPOT
+summaries and per-phase SLO attainment counters to either fold.
 
-Pools may be *dynamic*: with an autoscaler (see :mod:`repro.plan.autoscaler`)
-the kernel adds periodic ``"scale"`` control events — the policy decides a
-desired replica count, scale-ups come online ``provision_seconds`` later (a
-``"provision"`` event), and scale-downs drain: the replica leaves the
-routing set at once but its queue keeps dispatching (with the policy's drain
-flush) until it empties, at which point it retires.  Everything stays on the
-one heap, so autoscaled runs are exactly as deterministic as static ones.
+Batch pools may be *dynamic*: with an autoscaler (see
+:mod:`repro.plan.autoscaler`) the kernel adds periodic ``"scale"`` control
+events — the policy decides a desired replica count, scale-ups come online
+``provision_seconds`` later (a ``"provision"`` event), and scale-downs drain:
+the replica leaves the routing set at once but its queue keeps dispatching
+(with the policy's drain flush) until it empties, at which point it retires.
+Everything stays on the one heap, so autoscaled runs are exactly as
+deterministic as static ones.
 """
 
 from __future__ import annotations
@@ -112,45 +119,161 @@ def check_args(*, summary: str, percentiles: Sequence[float],
 
 
 class Pool:
-    """One routing domain of a run: a fleet plus its load index, optional
-    autoscaler and the caller's batch sink.
+    """One routing domain of a run: the interface :class:`Kernel` drives.
+
+    ``enqueue(kernel, request, now, entry)`` places an arrival (``entry``)
+    or a hop; ``dispatch(kernel, replica, now)`` starts what ``replica`` can
+    run now (``"poll"`` events, drained replicas); ``free(kernel, payload,
+    now)`` applies a finished operation's effects, then dispatches again;
+    ``flush(kernel, now)`` runs once, after the last arrival.  ``replicas``
+    lists what the report covers.  The kernel is passed in, never stored,
+    so a run leaves no kernel/pool reference cycle behind.
+    """
+
+    __slots__ = ()
+
+    autoscaler = None
+
+    def flush(self, kernel: "Kernel", now: float) -> None:
+        """Arrivals ran out; nothing to do unless the pool holds work back."""
+
+
+class BatchPool(Pool):
+    """A fleet whose replicas batch their queues (classic and pipeline).
 
     ``complete(replica, batch, now, finish)`` runs once per dispatched batch
     and returns the ``(pool, request)`` hops to schedule at each hop's
     ``request.arrival``, or ``None``.  ``model``, when set, is the workload
-    every request runs as on this pool (a pipeline stage's); ``None`` keeps
+    every arrival runs as on this pool (a pipeline stage's); ``None`` keeps
     each request's own model.
     """
 
-    __slots__ = ("fleet", "complete", "autoscaler", "model", "index")
+    __slots__ = ("fleet", "complete", "policy", "router", "autoscaler",
+                 "model", "index")
 
     def __init__(self, fleet: Fleet, complete: Callable | None = None, *,
-                 autoscaler=None, model: str | None = None):
+                 policy: BatchPolicy, router: Router, autoscaler=None,
+                 model: str | None = None):
         self.fleet = fleet
         self.complete = complete
+        self.policy = policy
+        self.router = router
         self.autoscaler = autoscaler
         self.model = model
-        self.index: LoadIndex | None = None
+        self.index = (LoadIndex(fleet.replicas)
+                      if getattr(router, "uses_load_index", False) else None)
+
+    @property
+    def replicas(self) -> tuple[Replica, ...]:
+        return self.fleet.replicas
+
+    def enqueue(self, kernel: "Kernel", request: Request, now: float,
+                entry: bool) -> None:
+        if entry and self.model is not None:
+            request = Request(index=request.index, model=self.model,
+                              arrival=request.arrival)
+        index, estimate = self.index, kernel.estimate
+        if index is not None:
+            replica = index.argmin(now)
+            if replica is None:                  # every replica is draining
+                replica = self.router.choose(self.fleet.replicas, request.model,
+                                             now, estimate)
+        else:
+            fleet = self.fleet
+            replica = self.router.choose(fleet.active_replicas or fleet.replicas,
+                                         request.model, now, estimate)
+        replica.queue.append(request)
+        replica.queued_seconds += estimate(request.model, replica).latency_seconds
+        if index is not None and replica.active:
+            index.update(replica, now)
+        if kernel.obs is not None:
+            kernel.obs.request_routed(request, replica, now, len(replica.queue),
+                                      entry=entry)
+        self.dispatch(kernel, replica, now)
+
+    def dispatch(self, kernel: "Kernel", replica: Replica, now: float) -> None:
+        policy, schedule, obs, estimate = (
+            self.policy, kernel.schedule, kernel.obs, kernel.estimate)
+        # A draining replica flushes like a run-end drain: it will never see
+        # another arrival, so holding out for a fuller batch only delays its
+        # retirement (and the requests already queued on it).
+        while replica.idle(now) and replica.queue:
+            batch = policy.take(replica.queue, now,
+                                draining=(kernel.exhausted or not replica.active))
+            if batch is None:
+                deadline = policy.deadline(replica.queue)
+                if deadline is not None and deadline > now:
+                    schedule(deadline, "poll", self, replica)
+                break
+            for request in batch:
+                replica.queued_seconds -= estimate(request.model,
+                                                   replica).latency_seconds
+            if not replica.queue:
+                replica.queued_seconds = 0.0    # shed float residue when empty
+            spec = RunSpec(batch[0].model, target=replica.spec.target,
+                           attention=replica.spec.attention,
+                           batch_size=len(batch))
+            result = simulate(spec, cache=kernel.cache)
+            service = kernel.dispatch_overhead_seconds + result.end_to_end_latency
+            finish = now + service
+            replica.busy_until = finish
+            replica.busy_seconds += service
+            replica.energy_joules += result.end_to_end_energy
+            replica.batches += 1
+            replica.served += len(batch)
+            if obs is not None:
+                obs.batch_dispatched(replica, batch, now, finish, replica.stage)
+            hops = self.complete(replica, batch, now, finish)
+            if hops:
+                for target, request in hops:
+                    schedule(request.arrival, "hop", target, request)
+            schedule(finish, "free", self, replica)
+            logger.debug("t=%.6f dispatch %s: %s x%d (service %.6fs, %d queued)",
+                         now, replica.name, batch[0].model, len(batch), service,
+                         len(replica.queue))
+        if (not replica.active and replica.retired_at is None
+                and not replica.queue and replica.idle(now)):
+            replica.retired_at = now
+            if obs is not None:
+                obs.replica_retired(replica, now)
+            logger.debug("t=%.6f retired %s", now, replica.name)
+        if self.index is not None and replica.active:
+            self.index.update(replica, now)
+
+    #: A finished batch's effects were applied at dispatch (its sink ran
+    #: then), so freeing the replica only re-evaluates its queue.
+    free = dispatch
+
+    def flush(self, kernel: "Kernel", now: float) -> None:
+        # Policies holding out for bigger batches will never see another
+        # trigger, so every replica dispatches now (later hops dispatch in
+        # draining mode).
+        for replica in self.fleet.replicas:
+            self.dispatch(kernel, replica, now)
 
 
 class Kernel:
-    """The shared event loop: heap, arrivals, routing, dispatch and fold.
+    """The shared event loop: heap, arrivals, pools and the report fold.
 
     Construct one per run, hand :meth:`run` its pools, then fold the outcome
-    with :meth:`report`.  Completed requests reach the report through
-    :attr:`finish` — ``finish(index, model, arrival, replica, batch_size,
-    dispatch, completion, queue_wait)`` — which sinks may capture: it holds
-    the fold and the observer, never the kernel, so a run leaves no
-    kernel/sink reference cycle behind.
+    with :meth:`report`.  Pools may capture two closures that hold the heap,
+    or the fold and the observer, but never the kernel:
+    :attr:`schedule` — ``schedule(time, kind, pool, payload)`` pushes a
+    runtime event — and :attr:`finish` — ``finish(index, model, arrival,
+    replica, batch_size, dispatch, completion, queue_wait)`` records one
+    completed request.  An LLM run passes ``phase_slos=(ttft, tpot)`` and
+    calls ``finish`` with the request's ``first_token`` time and
+    ``decode_target`` too; the fold then keeps TTFT/TPOT summaries and
+    counts per-phase SLO attainment (:meth:`attainment`), and the pool
+    notifies the observer itself.
     """
 
-    def __init__(self, traffic: TrafficPattern, policy: BatchPolicy | str,
-                 router: Router | str, *, duration: float, seed: int,
-                 slo_seconds: float, dispatch_overhead_seconds: float,
-                 cache: ResultCache | None, percentiles: Sequence[float],
-                 window_seconds: float | None, summary: str, obs):
-        self.policy = make_policy(policy) if isinstance(policy, str) else policy
-        self.router = make_router(router) if isinstance(router, str) else router
+    def __init__(self, traffic: TrafficPattern, *, duration: float, seed: int,
+                 slo_seconds: float, cache: ResultCache | None,
+                 percentiles: Sequence[float], summary: str, obs,
+                 dispatch_overhead_seconds: float = 0.0,
+                 window_seconds: float | None = None,
+                 phase_slos: tuple[float, float] | None = None):
         self.duration = duration
         self.arrivals = _iter_arrivals(traffic, duration, seed)
         self.slo_seconds = slo_seconds
@@ -162,8 +285,8 @@ class Kernel:
         self.summary = summary
         self.obs = obs
         self.pools: tuple[Pool, ...] = ()
-        self.events: list[tuple[float, int, str, Pool, object]] = []
-        self.sequence = itertools.count(RUNTIME_SEQUENCE_BASE)
+        self.events = events = []
+        self.sequence = sequence = itertools.count(RUNTIME_SEQUENCE_BASE)
         self.offered = 0
         self.exhausted = False
         # Routing estimates are memoised outside the result cache: one engine
@@ -177,11 +300,18 @@ class Kernel:
         if summary == "streaming":
             accumulator = ReportAccumulator(
                 slo_seconds=slo_seconds, percentiles=percentiles,
-                window_seconds=window_seconds)
+                window_seconds=window_seconds, phases=phase_slos is not None)
+        # Exact-mode (index, TTFT, TPOT) samples (the report folds them in
+        # index order), and the attainment counters both modes report: TTFT
+        # met, TPOT met, TPOT samples, both met.
+        samples: list[tuple[int, float, float | None]] = []
+        counts = [0, 0, 0, 0]
+        ttft_slo, tpot_slo = phase_slos or (0.0, 0.0)
 
-        def finish(index: int, model: str, arrival: float, replica: Replica,
+        def finish(index: int, model: str, arrival: float, replica,
                    batch_size: int, dispatch: float, completion: float,
-                   queue_wait: float) -> None:
+                   queue_wait: float | None, first_token: float | None = None,
+                   decode_target: int = 0) -> None:
             if accumulator is not None:
                 accumulator.observe(model, arrival, dispatch, completion)
             else:
@@ -189,13 +319,35 @@ class Kernel:
                     index=index, model=model, arrival=arrival,
                     replica=replica.name, batch_size=batch_size,
                     dispatch=dispatch, completion=completion))
-            if obs is not None:
-                obs.request_finished(index, model, arrival, queue_wait,
-                                     completion)
+            if first_token is None:
+                if obs is not None:
+                    obs.request_finished(index, model, arrival, queue_wait,
+                                         completion)
+                return
+            ttft, tpot = first_token - arrival, None
+            if decode_target:
+                tpot = (completion - first_token) / decode_target
+                counts[1] += tpot <= tpot_slo
+                counts[2] += 1
+            if accumulator is None:
+                samples.append((index, ttft, tpot))
+            else:
+                accumulator.ttft.add(ttft)
+                if tpot is not None:
+                    accumulator.tpot.add(tpot)
+            if ttft <= ttft_slo:
+                counts[0] += 1
+                counts[3] += tpot is None or tpot <= tpot_slo
+
+        def schedule(time: float, kind: str, pool: Pool, payload) -> None:
+            heapq.heappush(events, (time, next(sequence), kind, pool, payload))
 
         self.records = records
         self.accumulator = accumulator
         self.finish = finish
+        self.schedule = schedule
+        self.phases = (None if phase_slos is None
+                       else (phase_slos, samples, counts))
 
     def estimate(self, model: str, replica: Replica) -> Estimate:
         key = (model, replica.spec)
@@ -210,88 +362,11 @@ class Kernel:
             self.estimates[key] = cached
         return cached
 
-    def enqueue(self, pool: Pool, request: Request, now: float,
-                entry: bool) -> None:
-        index = pool.index
-        if index is not None:
-            replica = index.argmin(now)
-            if replica is None:                  # every replica is draining
-                replica = self.router.choose(pool.fleet.replicas, request.model,
-                                             now, self.estimate)
-        else:
-            fleet = pool.fleet
-            replica = self.router.choose(fleet.active_replicas or fleet.replicas,
-                                         request.model, now, self.estimate)
-        replica.queue.append(request)
-        replica.queued_seconds += self.estimate(request.model,
-                                                replica).latency_seconds
-        if index is not None and replica.active:
-            index.update(replica, now)
-        if self.obs is not None:
-            self.obs.request_routed(request, replica, now, len(replica.queue),
-                                    entry=entry)
-        self.dispatch(pool, replica, now)
-
-    def dispatch(self, pool: Pool, replica: Replica, now: float) -> None:
-        policy, events, sequence, obs, estimate = (
-            self.policy, self.events, self.sequence, self.obs, self.estimate)
-        # A draining replica flushes like a run-end drain: it will never see
-        # another arrival, so holding out for a fuller batch only delays its
-        # retirement (and the requests already queued on it).
-        while replica.idle(now) and replica.queue:
-            batch = policy.take(replica.queue, now,
-                                draining=(self.exhausted or not replica.active))
-            if batch is None:
-                deadline = policy.deadline(replica.queue)
-                if deadline is not None and deadline > now:
-                    heapq.heappush(events, (deadline, next(sequence), "poll",
-                                            pool, replica))
-                break
-            for request in batch:
-                replica.queued_seconds -= estimate(request.model,
-                                                   replica).latency_seconds
-            if not replica.queue:
-                replica.queued_seconds = 0.0    # shed float residue when empty
-            spec = RunSpec(batch[0].model, target=replica.spec.target,
-                           attention=replica.spec.attention,
-                           batch_size=len(batch))
-            result = simulate(spec, cache=self.cache)
-            service = self.dispatch_overhead_seconds + result.end_to_end_latency
-            finish = now + service
-            replica.busy_until = finish
-            replica.busy_seconds += service
-            replica.energy_joules += result.end_to_end_energy
-            replica.batches += 1
-            replica.served += len(batch)
-            if obs is not None:
-                obs.batch_dispatched(replica, batch, now, finish, replica.stage)
-            hops = pool.complete(replica, batch, now, finish)
-            if hops:
-                for target, request in hops:
-                    heapq.heappush(events, (request.arrival, next(sequence),
-                                            "hop", target, request))
-            heapq.heappush(events, (finish, next(sequence), "free", pool,
-                                    replica))
-            logger.debug("t=%.6f dispatch %s: %s x%d (service %.6fs, %d queued)",
-                         now, replica.name, batch[0].model, len(batch), service,
-                         len(replica.queue))
-        if (not replica.active and replica.retired_at is None
-                and not replica.queue and replica.idle(now)):
-            replica.retired_at = now
-            if obs is not None:
-                obs.replica_retired(replica, now)
-            logger.debug("t=%.6f retired %s", now, replica.name)
-        if pool.index is not None and replica.active:
-            pool.index.update(replica, now)
-
     def run(self, pools: Sequence[Pool], entry: Pool, label: str) -> None:
         """Simulate until every request has left; arrivals enter at ``entry``."""
 
         self.pools = pools = tuple(pools)
         obs, events, sequence = self.obs, self.events, self.sequence
-        uses_index = getattr(self.router, "uses_load_index", False)
-        for pool in pools:
-            pool.index = LoadIndex(pool.fleet.replicas) if uses_index else None
         if obs is not None:
             obs.begin_run(self.replicas, label)
         arrivals = self.arrivals
@@ -308,11 +383,11 @@ class Kernel:
                                    pool, None))
         heapq.heapify(events)
 
-        enqueue, dispatch = self.enqueue, self.dispatch
+        heappop, heappush = heapq.heappop, heapq.heappush
         offered = 0
         tick = obs.event_tick if obs is not None else None
         while events:
-            now, _, kind, pool, payload = heapq.heappop(events)
+            now, _, kind, pool, payload = heappop(events)
             if tick is not None:
                 tick(now)
             if kind == "arrival":
@@ -321,49 +396,43 @@ class Kernel:
                 if upcoming is None:
                     self.exhausted = True
                 else:
-                    heapq.heappush(events, (upcoming.arrival, upcoming.index,
-                                            "arrival", pool, upcoming))
-                if pool.model is not None:
-                    payload = Request(index=payload.index, model=pool.model,
-                                      arrival=payload.arrival)
-                enqueue(pool, payload, now, True)
-                if self.exhausted:
-                    # Last arrival processed: policies holding out for bigger
-                    # batches will never see another trigger, so flush every
-                    # pool (later hops dispatch in draining mode).
+                    heappush(events, (upcoming.arrival, upcoming.index,
+                                      "arrival", pool, upcoming))
+                pool.enqueue(self, payload, now, True)
+                if upcoming is None:
                     for other in pools:
-                        for replica in other.fleet.replicas:
-                            dispatch(other, replica, now)
+                        other.flush(self, now)
+            elif kind == "free":
+                pool.free(self, payload, now)
             elif kind == "hop":
-                enqueue(pool, payload, now, False)
+                pool.enqueue(self, payload, now, False)
+            elif kind == "poll":
+                pool.dispatch(self, payload, now)
             elif kind == "scale":
                 scaler = pool.autoscaler
                 additions, drained = scaler.check(now, pool.fleet)
                 for _ in range(additions):
-                    heapq.heappush(events, (now + scaler.provision_seconds,
-                                            next(sequence), "provision", pool,
-                                            None))
+                    heappush(events, (now + scaler.provision_seconds,
+                                      next(sequence), "provision", pool, None))
                 for replica in drained:
                     if pool.index is not None:
                         pool.index.remove(replica)
-                    dispatch(pool, replica, now)  # flush or retire immediately
+                    pool.dispatch(self, replica, now)  # flush or retire now
                 next_check = now + scaler.interval
                 if next_check <= self.duration:
-                    heapq.heappush(events, (next_check, next(sequence), "scale",
-                                            pool, None))
-            elif kind == "provision":
+                    heappush(events, (next_check, next(sequence), "scale",
+                                      pool, None))
+            else:                                # "provision"
                 replica = pool.autoscaler.provision(now, pool.fleet)
                 if pool.index is not None:
                     pool.index.update(replica, now)
-            else:                                # "free" and "poll" re-evaluate
-                dispatch(pool, payload, now)
         self.offered = offered
 
     @property
-    def replicas(self) -> list[Replica]:
+    def replicas(self) -> list:
         """Every replica of every pool, autoscaled additions included."""
 
-        return [replica for pool in self.pools for replica in pool.fleet.replicas]
+        return [replica for pool in self.pools for replica in pool.replicas]
 
     def makespan(self) -> float:
         """``max(duration, last completion)`` of the run so far."""
@@ -373,12 +442,27 @@ class Kernel:
                          default=0.0))
         return max(self.duration, last)
 
+    def attainment(self) -> dict[str, float]:
+        """The per-phase SLOs of a ``phase_slos`` run and the fraction of
+        completions meeting TTFT, TPOT (of those that decode) and both."""
+
+        (ttft_slo, tpot_slo), _, counts = self.phases
+        ttft_ok, tpot_ok, tpot_count, joint_ok = counts
+        completed = (self.accumulator.latency.count
+                     if self.accumulator is not None else len(self.records))
+        return {"ttft_slo_seconds": ttft_slo, "tpot_slo_seconds": tpot_slo,
+                "ttft_attainment": ttft_ok / completed if completed else 1.0,
+                "tpot_attainment": tpot_ok / tpot_count if tpot_count else 1.0,
+                "slo_attainment": joint_ok / completed if completed else 1.0}
+
     def report(self, config: dict[str, object], label: str,
-               pipeline: dict[str, object] | None = None) -> ServeReport:
+               pipeline: dict[str, object] | None = None,
+               llm: dict[str, object] | None = None) -> ServeReport:
         """Fold the run into its :class:`ServeReport` (exact or streaming).
 
         ``config`` is the caller's echo of its arguments; the shared keys
         (extra percentiles, windows, summary mode) are appended here.
+        ``pipeline`` and ``llm`` are the callers' additive report blocks.
         """
 
         scale_events = tuple(sorted(
@@ -394,15 +478,21 @@ class Kernel:
             report = self.accumulator.finalize(
                 config, offered=self.offered, duration=self.duration,
                 replicas=self.replicas, cache_stats=self.cache.stats(),
-                scale_events=scale_events, pipeline=pipeline)
+                scale_events=scale_events, llm=llm, pipeline=pipeline)
         else:
             self.records.sort(key=lambda record: record.index)
+            ttft_values = tpot_values = None
+            if self.phases is not None:
+                ordered = sorted(self.phases[1])
+                ttft_values = [ttft for _, ttft, _ in ordered]
+                tpot_values = [tpot for _, _, tpot in ordered if tpot is not None]
             report = build_report(
                 config, self.records, offered=self.offered,
                 duration=self.duration, slo_seconds=self.slo_seconds,
                 replicas=self.replicas, cache_stats=self.cache.stats(),
                 percentiles=self.percentiles, scale_events=scale_events,
-                window_seconds=self.window_seconds, pipeline=pipeline)
+                window_seconds=self.window_seconds, ttft_values=ttft_values,
+                tpot_values=tpot_values, llm=llm, pipeline=pipeline)
         logger.info("%s: completed %d/%d requests, p99 %.4fs, "
                     "throughput %.1f rps", label, report.completed,
                     report.offered, report.latency.p99, report.throughput_rps)
@@ -457,7 +547,9 @@ def serve(traffic: TrafficPattern, fleet: Fleet | str,
                window_seconds=window_seconds)
     if isinstance(fleet, str):
         fleet = Fleet.parse(fleet)
-    kernel = Kernel(traffic, policy, router, duration=duration, seed=seed,
+    policy = make_policy(policy) if isinstance(policy, str) else policy
+    router = make_router(router) if isinstance(router, str) else router
+    kernel = Kernel(traffic, duration=duration, seed=seed,
                     slo_seconds=slo_seconds,
                     dispatch_overhead_seconds=dispatch_overhead_seconds,
                     cache=cache, percentiles=percentiles,
@@ -465,7 +557,7 @@ def serve(traffic: TrafficPattern, fleet: Fleet | str,
     fleet.reset()
     logger.info("serve: streaming arrivals over %.3fs on %s "
                 "(policy=%s router=%s summary=%s)", duration, fleet.describe(),
-                kernel.policy.name, kernel.router.name, summary)
+                policy.name, router.name, summary)
     finish = kernel.finish
 
     def complete(replica: Replica, batch: list, now: float,
@@ -475,13 +567,14 @@ def serve(traffic: TrafficPattern, fleet: Fleet | str,
             finish(request.index, request.model, request.arrival, replica,
                    size, now, end, now - request.arrival)
 
-    pool = Pool(fleet, complete, autoscaler=autoscaler)
+    pool = BatchPool(fleet, complete, policy=policy, router=router,
+                     autoscaler=autoscaler)
     kernel.run([pool], pool, "serve")
     config = {
         "traffic": traffic.to_dict(),
         "fleet": fleet.describe(),
-        "policy": kernel.policy.to_dict(),
-        "router": kernel.router.name,
+        "policy": policy.to_dict(),
+        "router": router.name,
         "duration": duration,
         "seed": seed,
         "slo_seconds": slo_seconds,

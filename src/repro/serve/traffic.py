@@ -318,8 +318,22 @@ def _lazy_requests(times: Iterator[float], mix: WorkloadMix,
                       prompt_tokens=prompt, output_tokens=output)
 
 
+class _Pattern:
+    """The arrival plumbing every pattern shares: a seeded lazy stream of
+    ``mix`` draws over the subclass's ``_times`` (replay overrides it), and
+    the list-returning wrapper."""
+
+    def iter_arrivals(self, duration: float, seed: int) -> Iterator[Request]:
+        _check_duration(duration)
+        rng = random.Random(seed)
+        return _lazy_requests(self._times(duration, rng), self.mix, rng)
+
+    def arrivals(self, duration: float, seed: int) -> list[Request]:
+        return list(self.iter_arrivals(duration, seed))
+
+
 @dataclass(frozen=True)
-class PoissonTraffic:
+class PoissonTraffic(_Pattern):
     """Memoryless arrivals: exponential inter-arrival times at ``rate`` req/s."""
 
     rate: float
@@ -336,20 +350,12 @@ class PoissonTraffic:
             yield now
             now += rng.expovariate(self.rate)
 
-    def iter_arrivals(self, duration: float, seed: int) -> Iterator[Request]:
-        _check_duration(duration)
-        rng = random.Random(seed)
-        return _lazy_requests(self._times(duration, rng), self.mix, rng)
-
-    def arrivals(self, duration: float, seed: int) -> list[Request]:
-        return list(self.iter_arrivals(duration, seed))
-
     def to_dict(self) -> dict[str, object]:
         return {"name": self.name, "rate": self.rate, "mix": self.mix.to_dict()}
 
 
 @dataclass(frozen=True)
-class BurstyTraffic:
+class BurstyTraffic(_Pattern):
     """Two-state MMPP: quiet phases at ``rate * quiet_factor`` alternating with
     bursts at ``rate * burst_factor``; phase dwell times are exponential.
 
@@ -394,14 +400,6 @@ class BurstyTraffic:
                 tick += rng.expovariate(phase_rate)
             now, burst = phase_end, not burst
 
-    def iter_arrivals(self, duration: float, seed: int) -> Iterator[Request]:
-        _check_duration(duration)
-        rng = random.Random(seed)
-        return _lazy_requests(self._times(duration, rng), self.mix, rng)
-
-    def arrivals(self, duration: float, seed: int) -> list[Request]:
-        return list(self.iter_arrivals(duration, seed))
-
     def to_dict(self) -> dict[str, object]:
         return {"name": self.name, "rate": self.rate,
                 "burst_factor": self.burst_factor, "quiet_factor": self.quiet_factor,
@@ -410,7 +408,7 @@ class BurstyTraffic:
 
 
 @dataclass(frozen=True)
-class DiurnalTraffic:
+class DiurnalTraffic(_Pattern):
     """A raised-cosine day/night profile compressed into ``period`` seconds.
 
     The instantaneous rate swings between ``peak_rate * floor`` (the trough,
@@ -443,21 +441,13 @@ class DiurnalTraffic:
                 yield now
             now += rng.expovariate(self.peak_rate)
 
-    def iter_arrivals(self, duration: float, seed: int) -> Iterator[Request]:
-        _check_duration(duration)
-        rng = random.Random(seed)
-        return _lazy_requests(self._times(duration, rng), self.mix, rng)
-
-    def arrivals(self, duration: float, seed: int) -> list[Request]:
-        return list(self.iter_arrivals(duration, seed))
-
     def to_dict(self) -> dict[str, object]:
         return {"name": self.name, "peak_rate": self.peak_rate,
                 "period": self.period, "floor": self.floor, "mix": self.mix.to_dict()}
 
 
 @dataclass(frozen=True)
-class ReplayTraffic:
+class ReplayTraffic(_Pattern):
     """Replay of an explicit trace (seed is ignored).
 
     Entries are ``(time, model)`` or ``(time, model, prompt_tokens,
@@ -507,9 +497,6 @@ class ReplayTraffic:
             yield Request(index=index, model=entry[1], arrival=entry[0],
                           prompt_tokens=entry[2] if len(entry) > 2 else None,
                           output_tokens=entry[3] if len(entry) > 2 else None)
-
-    def arrivals(self, duration: float, seed: int) -> list[Request]:
-        return list(self.iter_arrivals(duration, seed))
 
     def to_dict(self) -> dict[str, object]:
         return {"name": self.name, "trace_length": len(self.trace)}

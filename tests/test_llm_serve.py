@@ -5,19 +5,23 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.engine import ResultCache
+from repro.obs import Observability
 from repro.plan import estimate_llm_pools, plan_llm_capacity
 from repro.serve import (
     KVCacheConfig,
     PoissonTraffic,
     ReplayTraffic,
+    ReplicaSpec,
     TokenDistribution,
     TokenProfile,
     WorkloadMix,
     serve,
     serve_llm,
 )
+from repro.workloads import get_workload
 
 MIX = WorkloadMix.of(["decoder"])
 
@@ -112,12 +116,108 @@ class TestKVCache:
         # first's *completion* (its decode included), not just its prefill.
         assert blocked.queue_wait.max > ample.queue_wait.max + 0.005
 
+    @pytest.mark.parametrize("fleets", [
+        dict(fleet="1xvitality,1xvitality[sram_kb=32]"),
+        dict(fleet="1xvitality,1xvitality[sram_kb=32]", scheduler="monolithic"),
+        dict(prefill_fleet="1xvitality,1xvitality[sram_kb=32]",
+             decode_fleet="1xvitality"),
+    ], ids=["colocated", "monolithic", "disaggregated"])
+    def test_heterogeneous_kv_routes_only_to_replicas_that_fit(self, fleets):
+        """A request only the larger replica can hold (the small one has 910
+        tokens) must be routed there, not strand on the small replica's
+        prefill queue while the run silently drops it."""
+
+        trace = ReplayTraffic.from_records(
+            [[0.0, "decoder", 64, 8], [1e-4, "decoder", 1024, 64],
+             [2e-4, "decoder", 64, 8], [3e-4, "decoder", 64, 8]])
+        report = serve_llm(trace, duration=1.0, **fleets)
+        assert [replica.kv_capacity_tokens
+                for replica in report.per_replica[:2]] == [5688, 910]
+        assert report.offered == report.completed == 4
+        for replica in report.per_replica:
+            assert replica.kv_peak_tokens <= replica.kv_capacity_tokens
+
     def test_kv_never_exceeds_capacity(self):
         report = serve_llm(_traffic(30.0), fleet="1xvitality", duration=2.0,
                            kv=KVCacheConfig(capacity_tokens=2048),
                            prompt_tokens=256, output_tokens=32)
         replica = report.per_replica[0]
         assert 0 < replica.kv_peak_tokens <= 2048
+
+
+class _Completions(Observability):
+    """A passive observer that records which request each completion is."""
+
+    def __init__(self):
+        super().__init__()
+        self.indices: list[int] = []
+
+    def request_completed(self, request, replica, now, batch_size):
+        self.indices.append(request.index)
+
+
+#: Replica kinds with very different derived KV capacities for ``decoder``
+#: (5,688 and 910 tokens), so fleets mixing them are KV-heterogeneous.
+KINDS = ("vitality", "vitality[sram_kb=32]")
+
+
+@st.composite
+def llm_runs(draw):
+    """Small random LLM runs: colocated continuous or monolithic, or
+    disaggregated; mixed-KV fleets; random token profiles and KV caps."""
+
+    prompt_lo = draw(st.integers(8, 512))
+    prompt_hi = draw(st.integers(prompt_lo, 2048))
+    output_lo = draw(st.integers(1, 24))
+    output_hi = draw(st.integers(output_lo, 48))
+    capacity = draw(st.one_of(st.none(), st.integers(
+        prompt_hi + output_hi, 3 * (prompt_hi + output_hi))))
+    kv = KVCacheConfig(capacity_tokens=capacity)
+    per_token = kv.bytes_per_token(get_workload("decoder"))
+
+    def fleet(need: int) -> str:
+        kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=2))
+        assume(need <= max(kv.capacity_for(ReplicaSpec.parse(kind), per_token)
+                           for kind in kinds))   # the largest replica fits
+        return ",".join(f"1x{kind}" for kind in kinds)
+
+    mode = draw(st.sampled_from(["continuous", "monolithic", "disaggregated"]))
+    if mode == "disaggregated":
+        fleets = dict(prefill_fleet=fleet(prompt_hi),
+                      decode_fleet=fleet(prompt_hi + output_hi))
+    else:
+        fleets = dict(fleet=fleet(prompt_hi + output_hi), scheduler=mode)
+    mix = WorkloadMix.of(["decoder"], tokens=TokenProfile.of(
+        f"{prompt_lo}:{prompt_hi}", f"{output_lo}:{output_hi}"))
+    traffic = PoissonTraffic(rate=draw(st.floats(5.0, 40.0)), mix=mix)
+    return traffic, dict(fleets, kv=kv, duration=draw(st.floats(0.2, 1.0)),
+                         seed=draw(st.integers(0, 2 ** 16)),
+                         prefill_chunk=draw(st.sampled_from([64, 256])),
+                         max_batch=draw(st.integers(1, 8)))
+
+
+class TestServingInvariants:
+    @settings(max_examples=50, deadline=None)
+    @given(run=llm_runs())
+    def test_llm_runs_conserve_requests_kv_and_time(self, run):
+        traffic, kwargs = run
+        reports = {}
+        for summary in ("exact", "streaming"):
+            completions = _Completions()
+            report = serve_llm(traffic, summary=summary, obs=completions,
+                               **kwargs)
+            # Every offered request completes exactly once.
+            assert sorted(completions.indices) == list(range(report.offered))
+            assert report.completed == report.offered
+            for replica in report.per_replica:
+                assert replica.kv_peak_tokens <= replica.kv_capacity_tokens
+                assert replica.busy_seconds <= report.makespan
+            reports[summary] = report
+        exact, streaming = reports["exact"], reports["streaming"]
+        assert (exact.offered, exact.completed) == \
+            (streaming.offered, streaming.completed)
+        for key in ("prefill_tokens", "generated_tokens", "decode_steps"):
+            assert exact.llm[key] == streaming.llm[key], key
 
 
 class TestServeLLM:
@@ -169,6 +269,12 @@ class TestServeLLM:
                                seed=0, scheduler=scheduler, cache=cache)
             rates[scheduler] = report.llm["decode_tokens_per_second"]
         assert rates["continuous"] > rates["monolithic"]
+
+    def test_extra_percentiles_are_echoed_like_classic_reports(self):
+        report = serve_llm(_traffic(), fleet="1xvitality", duration=1.0,
+                           percentiles=(0.5, 0.95, 0.99, 0.999))
+        assert report.config["percentiles"] == [0.5, 0.95, 0.99, 0.999]
+        assert "p99.9" in report.to_dict()["ttft"]
 
     def test_monolithic_rejects_disaggregated_fleets(self):
         with pytest.raises(ValueError, match="monolithic"):
